@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace compso::bench {
@@ -49,6 +50,56 @@ template <typename Fn>
 double time_once(obs::MetricsRegistry& registry, std::string_view name,
                  Fn&& fn) {
   return time_best(registry, name, 1, static_cast<Fn&&>(fn));
+}
+
+/// Where a BENCH_*.json number came from: CPU model, hardware concurrency,
+/// CMake build type and the source revision ("-dirty" when the working
+/// tree differs from it), as one JSON object. Wall-clock numbers are only
+/// comparable between documents whose fingerprints agree.
+inline std::string host_fingerprint_json() {
+  std::string sha;
+  const std::string describe = std::string("git -C \"") + COMPSO_SOURCE_DIR +
+                               "\" describe --always --dirty --abbrev=40"
+                               " --exclude='*' 2>/dev/null";
+  if (std::FILE* p = ::popen(describe.c_str(), "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    if (::pclose(p) != 0) sha.clear();
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  if (sha.empty()) sha = "unknown";
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      const std::string_view l(line);
+      if (l.rfind("model name", 0) != 0) continue;
+      const auto colon = l.find(':');
+      if (colon == std::string_view::npos) continue;
+      std::string_view v = l.substr(colon + 1);
+      while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) {
+        v.remove_prefix(1);
+      }
+      while (!v.empty() && (v.back() == '\n' || v.back() == ' ')) {
+        v.remove_suffix(1);
+      }
+      cpu = std::string(v);
+      break;
+    }
+    std::fclose(f);
+  }
+  std::string json = "{\"cpu_model\": \"";
+  for (const char c : cpu) {
+    if (c == '"' || c == '\\') json += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) json += c;
+  }
+  json += "\", \"host_concurrency\": " +
+          std::to_string(std::thread::hardware_concurrency()) +
+          ", \"build_type\": \"" + COMPSO_BUILD_TYPE + "\", \"git_sha\": \"" +
+          sha + "\"}";
+  return json;
 }
 
 /// Per-GPU batch used for the performance experiments, matching each

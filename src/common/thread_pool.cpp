@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <stdexcept>
+#include <utility>
 
 namespace compso::common {
 namespace {
@@ -12,6 +13,14 @@ thread_local bool t_on_worker = false;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() noexcept { return t_on_worker; }
+
+void ThreadPool::run_as_worker(const std::function<void()>& fn) {
+  struct Restore {
+    bool prev;
+    ~Restore() { t_on_worker = prev; }
+  } restore{std::exchange(t_on_worker, true)};
+  fn();
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

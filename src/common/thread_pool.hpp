@@ -64,6 +64,12 @@ class ThreadPool {
   /// deadlock and would oversubscribe the cores either way.
   static bool on_worker_thread() noexcept;
 
+  /// Runs fn() on the calling thread as if it were a pool worker, so
+  /// on_worker_thread() holds inside it: a caller that executes a queued
+  /// task itself then runs its math kernels inline, exactly as the worker
+  /// would have. Rethrows what fn() throws.
+  static void run_as_worker(const std::function<void()>& fn);
+
   /// Stops accepting work, drains the queues, joins the workers.
   /// Idempotent.
   void shutdown();

@@ -2,6 +2,7 @@
 
 #include "src/common/thread_pool.hpp"
 
+#include <chrono>
 #include <utility>
 
 namespace compso::compress {
@@ -57,12 +58,48 @@ std::function<void()> CompressionEngine::instrument(
   };
 }
 
+void CompressionEngine::Claimable::run_here() {
+  if (taken.exchange(true, std::memory_order_acq_rel)) return;
+  ran_here = true;
+  try {
+    common::ThreadPool::run_as_worker(job);
+  } catch (...) {
+    error = std::current_exception();
+  }
+}
+
+bool CompressionEngine::Claimable::finished() const {
+  return ran_here || !done.valid() ||
+         done.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+void CompressionEngine::Claimable::settle() {
+  if (ran_here) {
+    if (error) std::rethrow_exception(std::exchange(error, {}));
+    return;
+  }
+  if (done.valid()) done.get();
+}
+
+std::shared_ptr<CompressionEngine::Claimable> CompressionEngine::enqueue(
+    std::function<void()> job) {
+  auto c = std::make_shared<Claimable>();
+  c->job = std::move(job);
+  // Weak: the engine may drop a job the optimizer thread already ran
+  // while its queued copy still waits for a worker.
+  c->done = pool_->submit([weak = std::weak_ptr<Claimable>(c)] {
+    const auto c = weak.lock();
+    if (c && !c->taken.exchange(true, std::memory_order_acq_rel)) c->job();
+  });
+  return c;
+}
+
 CompressionEngine::Ticket CompressionEngine::submit(
     std::function<void()> job, std::string name) {
   const Ticket t = tickets_++;
   job = instrument(std::move(job), std::move(name));
   if (pool_) {
-    futures_.push_back(pool_->submit(std::move(job)));
+    claims_.push_back(enqueue(std::move(job)));
   } else {
     // Serial mode runs inline but defers the exception to wait(), so call
     // sites behave identically in both modes.
@@ -79,9 +116,15 @@ CompressionEngine::Ticket CompressionEngine::submit(
 
 void CompressionEngine::wait(Ticket ticket) {
   if (pool_) {
-    if (ticket < futures_.size() && futures_[ticket].valid()) {
-      futures_[ticket].get();
+    if (ticket >= claims_.size()) return;
+    Claimable& c = *claims_[ticket];
+    c.run_here();
+    // A worker still runs it: run queued jobs here, oldest first, rather
+    // than sleep while the other workers wake up.
+    for (std::size_t i = 0; i < claims_.size() && !c.finished(); ++i) {
+      claims_[i]->run_here();
     }
+    c.settle();
     return;
   }
   if (ticket < inline_errors_.size() && inline_errors_[ticket]) {
@@ -93,15 +136,15 @@ void CompressionEngine::wait(Ticket ticket) {
 void CompressionEngine::wait_all() {
   std::exception_ptr first;
   if (pool_) {
-    for (auto& f : futures_) {
-      if (!f.valid()) continue;
+    for (const auto& c : claims_) c->run_here();
+    for (const auto& c : claims_) {
       try {
-        f.get();
+        c->settle();
       } catch (...) {
         if (!first) first = std::current_exception();
       }
     }
-    futures_.clear();
+    claims_.clear();
   } else {
     for (auto& err : inline_errors_) {
       if (err && !first) first = std::exchange(err, {});
@@ -118,12 +161,15 @@ void CompressionEngine::run_batch(std::vector<std::function<void()>>&& jobs) {
     for (auto& job : jobs) job = instrument(std::move(job));
   }
   if (pool_) {
-    std::vector<std::future<void>> batch;
+    // The caller works through the batch in order alongside the workers,
+    // taking every job none of them has claimed yet.
+    std::vector<std::shared_ptr<Claimable>> batch;
     batch.reserve(jobs.size());
-    for (auto& job : jobs) batch.push_back(pool_->submit(std::move(job)));
-    for (auto& f : batch) {
+    for (auto& job : jobs) batch.push_back(enqueue(std::move(job)));
+    for (const auto& c : batch) c->run_here();
+    for (const auto& c : batch) {
       try {
-        f.get();
+        c->settle();
       } catch (...) {
         if (!first) first = std::current_exception();
       }

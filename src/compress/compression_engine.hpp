@@ -21,10 +21,20 @@
 // run_batch() with no pool at all (the deterministic baseline the
 // parallel modes are tested against). The engine itself is not
 // thread-safe: submit/wait are called from the optimizer thread only.
+//
+// With a pool, a job is claimed by whichever thread reaches it first: a
+// worker, or the optimizer thread once it has to wait. wait() runs the
+// awaited job inline if no worker has started it, and while a worker
+// still runs it, works off the other queued jobs oldest-first instead of
+// sleeping; run_batch's caller works through its own batch the same way.
+// Inline jobs run as if on a worker (ThreadPool::run_as_worker), and
+// which thread runs a job never changes its bits (see the determinism
+// contract above). A job's exception always surfaces at its own ticket.
 
 #include "src/obs/obs.hpp"
 #include "src/tensor/rng.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -113,8 +123,28 @@ class CompressionEngine {
   std::function<void()> instrument(std::function<void()> job,
                                    std::string name = "engine.task");
 
+  /// A pool job that runs exactly once, on the first thread to claim it.
+  struct Claimable {
+    std::atomic<bool> taken{false};
+    std::function<void()> job;
+    std::future<void> done;  ///< ready once a worker ran or skipped it.
+    bool ran_here = false;   ///< the optimizer thread ran it.
+    std::exception_ptr error;  ///< its exception, when ran_here.
+
+    /// Claims and runs the job on the calling thread unless a worker has
+    /// already claimed it.
+    void run_here();
+    /// True once the job has finished, whoever ran it.
+    bool finished() const;
+    /// Blocks until the job finished; rethrows its exception once.
+    void settle();
+  };
+
+  /// Queues `job` on the pool as a Claimable.
+  std::shared_ptr<Claimable> enqueue(std::function<void()> job);
+
   std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<std::future<void>> futures_;          ///< parallel tickets.
+  std::vector<std::shared_ptr<Claimable>> claims_;  ///< parallel tickets.
   std::vector<std::exception_ptr> inline_errors_;   ///< serial tickets.
   std::size_t tickets_ = 0;
   obs::ObsHooks obs_;

@@ -151,14 +151,29 @@ double FaultTolerantTrainer::step() {
 
   auto compute_span =
       obs_.span(obs::kMainTrack, "trainer.forward_backward", "trainer");
+  // The ranks' batches come off one data stream in rank order; each
+  // replica's forward/backward then touches only that replica, so the
+  // passes run as one engine batch (like data-parallel ranks on their own
+  // devices). Losses and NaN injection fold in rank order afterwards, so
+  // every bit matches a serial rank loop.
+  std::vector<nn::Batch> batches(cfg_.base.world);
+  std::vector<double> losses(cfg_.base.world, 0.0);
+  std::vector<std::function<void()>> passes;
+  for (std::size_t r = 0; r < cfg_.base.world; ++r) {
+    if (!comm_.is_participating(r)) continue;
+    batches[r] = dataset_.sample(cfg_.base.batch_per_rank, data_rng_);
+    passes.emplace_back([this, r, &batches, &losses] {
+      const auto logits = replicas_[r].forward(batches[r].x);
+      tensor::Tensor grad;
+      losses[r] = nn::softmax_cross_entropy(logits, batches[r].labels, grad);
+      replicas_[r].backward(grad);
+    });
+  }
+  engine_.run_batch(std::move(passes));
   double loss = 0.0;
   for (std::size_t r = 0; r < cfg_.base.world; ++r) {
     if (!comm_.is_participating(r)) continue;
-    const auto batch = dataset_.sample(cfg_.base.batch_per_rank, data_rng_);
-    const auto logits = replicas_[r].forward(batch.x);
-    tensor::Tensor grad;
-    loss += nn::softmax_cross_entropy(logits, batch.labels, grad);
-    replicas_[r].backward(grad);
+    loss += losses[r];
     if (injector_ != nullptr &&
         injector_->take(comm::FaultKind::kNanGradient, r)) {
       poison_gradients(replicas_[r]);

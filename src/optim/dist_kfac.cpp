@@ -546,12 +546,17 @@ void DistKfac::step(std::size_t iteration, double lr,
   // Priorities implement the backward-order wavefront: within the ready
   // set, later layers run first (their factors and gradients are ready
   // first in a real backward pass), comm tasks of ALL layers run before
-  // any guard (so preconditioning stays in flight under the remaining
-  // collectives), and the gather/update tail runs last.
+  // any precondition that has to join its eigh tasks (so the eighs stay
+  // in flight under the remaining collectives), those joins run before
+  // any guard (so every slot's preconditioning is in flight before the
+  // first reap), and the gather/update tail runs last.
   const auto prio_fx = [](std::size_t s) { return static_cast<int>(3 * s) + 2; };
   const auto prio_gar = [](std::size_t s) { return static_cast<int>(3 * s) + 1; };
-  const auto prio_guard = [slots](std::size_t s) {
+  const auto prio_precond = [slots](std::size_t s) {
     return static_cast<int>(s) - static_cast<int>(slots);
+  };
+  const auto prio_guard = [slots](std::size_t s) {
+    return static_cast<int>(s) - 2 * static_cast<int>(slots);
   };
   constexpr int kPrioGather = -1000000;
 
@@ -692,18 +697,32 @@ void DistKfac::step(std::size_t iteration, double lr,
         /*is_comm=*/true);
 
     // Eigendecomposition refresh (owner-partitioned, every
-    // eigen_refresh_every steps) fused with preconditioning: both read
-    // only this slot's state, so the pair overlaps other slots'
-    // collectives — the §4.4 "eigh under comm" overlap.
-    const auto ep = graph_.add_compute(
-        (refresh ? "eigh_precond" : "precond") + std::to_string(s),
-        static_cast<int>(s), [this, s, refresh, own] {
-          if (refresh) states_[s]->refresh_eigen();
+    // eigen_refresh_every steps): one task per factor, each a pure
+    // function of its blended factor, so both start as soon as the
+    // factor exchange lands — under the gradient allreduce and other
+    // slots' collectives (the §4.4 "eigh under comm" overlap).
+    // Preconditioning joins them with the averaged gradient.
+    const auto pc = graph_.add_compute(
+        "precond" + std::to_string(s), prio_precond(s),
+        [this, s, own] {
           preconditioned_[s] =
               states_[s]->precondition(grad_work_[s][own], cfg_.damping);
         });
-    graph_.depends(ep, fx);
-    graph_.depends(ep, gar);
+    graph_.depends(pc, gar);
+    if (refresh) {
+      const auto ea = graph_.add_compute(
+          "eigh_a" + std::to_string(s), static_cast<int>(s),
+          [this, s] { states_[s]->refresh_eigen_a(); });
+      const auto eg = graph_.add_compute(
+          "eigh_g" + std::to_string(s), static_cast<int>(s),
+          [this, s] { states_[s]->refresh_eigen_g(); });
+      for (const auto e : {ea, eg}) {
+        graph_.depends(e, fx);
+        graph_.depends(pc, e);
+      }
+    } else {
+      graph_.depends(pc, fx);
+    }
 
     // Non-finite guard + byte accounting: mutates shared recovery state,
     // so it stays on the main thread; low priority keeps it behind every
@@ -726,7 +745,7 @@ void DistKfac::step(std::size_t iteration, double lr,
           }
           orig_bytes_ += preconditioned_[s].size() * sizeof(float);
         });
-    graph_.depends(guard_id[s], ep);
+    graph_.depends(guard_id[s], pc);
   }
 
   // Gather-group concatenation + compression (§4.4 layer aggregation):

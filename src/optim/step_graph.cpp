@@ -1,6 +1,7 @@
 #include "src/optim/step_graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -41,10 +42,19 @@ std::vector<StepGraph::TaskId> StepGraph::order() const {
     for (TaskId d : tasks_[t].deps) dependents[d].push_back(t);
   }
   // Kahn's algorithm with a deterministic selection rule: among ready
-  // tasks, compute before main (so submissions are as eager as the
-  // edges allow), then priority descending, then insertion order. The
-  // ready set is small (tens of tasks), so a linear scan beats heap
-  // bookkeeping and keeps ties trivially stable.
+  // tasks, eager compute (no compute deps, so submitting it never blocks)
+  // before everything else, then priority descending, then insertion
+  // order. A compute task that joins other compute tasks must reap them
+  // before it is submitted, which blocks the calling thread like a main
+  // task, so it competes with the main tasks by priority instead of
+  // jumping ahead of them. The ready set is small (tens of tasks), so a
+  // linear scan beats heap bookkeeping and keeps ties trivially stable.
+  std::vector<std::uint8_t> eager(n, 0);
+  for (TaskId t = 0; t < n; ++t) {
+    eager[t] = tasks_[t].compute &&
+               std::none_of(tasks_[t].deps.begin(), tasks_[t].deps.end(),
+                            [&](TaskId d) { return tasks_[d].compute; });
+  }
   std::vector<TaskId> ready;
   for (TaskId t = 0; t < n; ++t) {
     if (missing[t] == 0) ready.push_back(t);
@@ -54,13 +64,13 @@ std::vector<StepGraph::TaskId> StepGraph::order() const {
   while (!ready.empty()) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < ready.size(); ++i) {
-      const Task& a = tasks_[ready[i]];
-      const Task& b = tasks_[ready[best]];
-      const bool wins =
-          a.compute != b.compute
-              ? a.compute
-              : (a.priority != b.priority ? a.priority > b.priority
-                                          : ready[i] < ready[best]);
+      const TaskId a = ready[i];
+      const TaskId b = ready[best];
+      const int pa = tasks_[a].priority;
+      const int pb = tasks_[b].priority;
+      const bool wins = eager[a] != eager[b]
+                            ? eager[a] != 0
+                            : (pa != pb ? pa > pb : a < b);
       if (wins) best = i;
     }
     const TaskId t = ready[best];

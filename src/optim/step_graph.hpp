@@ -17,9 +17,11 @@
 //    serial bookkeeping steps that mutate shared recovery state.
 //
 // Scheduling is fully deterministic: order() linearises the graph with a
-// fixed selection rule (ready compute tasks before ready main tasks —
-// eager submission — then priority descending, then insertion order),
-// and run() walks that single total order on the calling thread. A
+// fixed selection rule (ready compute tasks without compute deps before
+// everything else — eager submission — then priority descending, then
+// insertion order; a compute task that joins other compute tasks blocks
+// on their reap, so it is ordered among the main tasks by priority), and
+// run() walks that single total order on the calling thread. A
 // compute task's result is reaped (engine.wait) at the first task that
 // depends on it, never earlier; everything between submission and reap
 // overlaps it. With backward-order priorities (later layers first) this

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -11,10 +12,10 @@
 namespace compso::tensor {
 namespace {
 
-/// Floor applied to the Frobenius norm before scaling the convergence
-/// tolerance: an (effectively) all-zero matrix must terminate on the
-/// first off-diagonal check instead of producing a zero threshold that
-/// no residual can ever satisfy.
+/// Floor applied to the Frobenius norm before scaling the Jacobi
+/// convergence tolerance: an (effectively) all-zero matrix must terminate
+/// on the first off-diagonal check instead of producing a zero threshold
+/// that no residual can ever satisfy.
 constexpr double kFrobeniusNormFloor = 1e-300;
 
 /// Off-diagonal entries at or below this magnitude are treated as
@@ -22,6 +23,10 @@ constexpr double kFrobeniusNormFloor = 1e-300;
 /// divides by a subnormal and produces garbage; skipping is exact for
 /// any representable accumulation.
 constexpr double kNegligibleOffDiagonal = 1e-300;
+
+/// Textbook cap on implicit QL iterations per eigenvalue; hitting it
+/// reports `converged = false` instead of looping on a stuck block.
+constexpr int kMaxQlIterations = 30;
 
 /// Copies `m` into double storage and symmetrizes it (running-average
 /// factors can drift slightly off symmetric).
@@ -51,27 +56,29 @@ double off_diagonal_mass(const std::vector<double>& a, std::size_t n) {
   return std::sqrt(2.0 * off);
 }
 
-/// Sorts eigenpairs ascending and materializes the result.
-/// `q_transposed` selects whether q holds eigenvectors in rows (the
-/// fused kernel) or in columns (the reference kernel).
-EigenDecomposition finalize(const std::vector<double>& a,
+/// Sorts eigenpairs ascending (NaN last, so a poisoned input still gets
+/// a strict weak order) and materializes the result. `q_transposed`
+/// selects whether q holds eigenvectors in rows (the production solver)
+/// or in columns (the reference kernel).
+EigenDecomposition finalize(const std::vector<double>& values,
                             const std::vector<double>& q, std::size_t n,
                             bool q_transposed, bool converged,
-                            int sweeps_used) {
+                            int iterations) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return a[x * n + x] < a[y * n + y];
+    if (std::isnan(values[x])) return false;
+    return std::isnan(values[y]) || values[x] < values[y];
   });
 
   EigenDecomposition out;
   out.converged = converged;
-  out.sweeps_used = sweeps_used;
+  out.sweeps_used = iterations;
   out.eigenvalues.resize(n);
   out.eigenvectors = Tensor({n, n});
   for (std::size_t col = 0; col < n; ++col) {
     const std::size_t src = order[col];
-    out.eigenvalues[col] = static_cast<float>(a[src * n + src]);
+    out.eigenvalues[col] = static_cast<float>(values[src]);
     for (std::size_t rowi = 0; rowi < n; ++rowi) {
       const double v = q_transposed ? q[src * n + rowi] : q[rowi * n + src];
       out.eigenvectors.at(rowi, col) = static_cast<float>(v);
@@ -88,80 +95,174 @@ void check_square(const Tensor& m) {
 
 }  // namespace
 
-EigenDecomposition eigh(const Tensor& m, int max_sweeps, double tol) {
+EigenDecomposition eigh(const Tensor& m) {
   check_square(m);
   const std::size_t n = m.rows();
-  std::vector<double> a = load_symmetric(m, n);
-  // Q is stored TRANSPOSED: qt row i holds eigenvector-accumulator
-  // column i, so the rotation below touches two contiguous rows.
-  std::vector<double> qt(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) qt[i * n + i] = 1.0;
+  if (n == 0) return finalize({}, {}, 0, /*q_transposed=*/true, true, 0);
+  // V is stored column-major (vt[j * n + k] == V[k][j]), i.e. as its
+  // transpose: every inner loop of both phases then walks a contiguous
+  // row of vt, and row j of vt ends up holding eigenvector j.
+  std::vector<double> vt = load_symmetric(m, n);
+  bool finite = true;
+  for (double x : vt) finite = finite && std::isfinite(x);
+  const auto v = [&](std::size_t row, std::size_t col) -> double& {
+    return vt[col * n + row];
+  };
+  std::vector<double> d(n), e(n);
 
-  const double stop = tol * std::max(frobenius(a), kFrobeniusNormFloor);
-
-  bool converged = false;
-  int sweeps_used = 0;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (off_diagonal_mass(a, n) <= stop) {
-      converged = true;
-      break;
-    }
-    ++sweeps_used;
-
-    // Cyclic-by-rows sweep. Each rotation (p, r) is applied in ONE pass
-    // over rows p and r (both contiguous): because A is symmetric, the
-    // two-sided update of off-diagonal entries reduces to the same 2x2
-    // rotation applied along the rows, with the diagonal corrected in
-    // closed form (app' = app - t*apq, aqq' = aqq + t*apq) and the
-    // mirror columns copied from the updated rows afterwards. This
-    // replaces the reference kernel's three strided passes (column
-    // rotation, row rotation, Q-column rotation) with three stride-1
-    // row updates.
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      double* rowp = a.data() + p * n;
-      for (std::size_t r = p + 1; r < n; ++r) {
-        const double apq = rowp[r];
-        if (std::fabs(apq) <= kNegligibleOffDiagonal) continue;
-        double* rowr = a.data() + r * n;
-        const double app = rowp[p];
-        const double aqq = rowr[r];
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = rowp[k];
-          const double akq = rowr[k];
-          rowp[k] = c * akp - s * akq;
-          rowr[k] = s * akp + c * akq;
+  // --- Householder tridiagonalisation (tred2), lower triangle of V ---
+  for (std::size_t j = 0; j < n; ++j) d[j] = v(n - 1, j);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::fabs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = v(i - 1, j);
+        v(i, j) = 0.0;
+        v(j, i) = 0.0;
+      }
+    } else {
+      // Householder vector u = d / scale with u[i-1] shifted by g.
+      for (std::size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = f > 0.0 ? -std::sqrt(h) : std::sqrt(h);
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+      // p = A u (lower triangle only), stored in e.
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        v(j, i) = f;
+        const double* colj = vt.data() + j * n;
+        g = e[j] + colj[j] * f;
+        for (std::size_t k = j + 1; k < i; ++k) {
+          g += colj[k] * d[k];
+          e[k] += colj[k] * f;
         }
-        // Exact closed-form entries the row pass cannot produce alone.
-        rowp[p] = app - t * apq;
-        rowr[r] = aqq + t * apq;
-        rowp[r] = 0.0;
-        rowr[p] = 0.0;
-        // Mirror the updated rows into columns p and r.
-        for (std::size_t k = 0; k < n; ++k) {
-          if (k == p || k == r) continue;
-          a[k * n + p] = rowp[k];
-          a[k * n + r] = rowr[k];
-        }
-        // Accumulate the rotation into Q (transposed: rows p and r).
-        double* qp = qt.data() + p * n;
-        double* qr = qt.data() + r * n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double qkp = qp[k];
-          const double qkq = qr[k];
-          qp[k] = c * qkp - s * qkq;
-          qr[k] = s * qkp + c * qkq;
-        }
+        e[j] = g;
+      }
+      // q = p / h - (u^T p / 2h^2) u, then the rank-2 update A -= u q^T + q u^T.
+      f = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        g = e[j];
+        double* colj = vt.data() + j * n;
+        for (std::size_t k = j; k < i; ++k) colj[k] -= f * e[k] + g * d[k];
+        d[j] = v(i - 1, j);
+        v(i, j) = 0.0;
       }
     }
+    d[i] = h;
   }
-  if (!converged) converged = off_diagonal_mass(a, n) <= stop;
+  // Accumulate the Householder transforms into V.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    v(n - 1, i) = v(i, i);
+    v(i, i) = 1.0;
+    const double h = d[i + 1];
+    const double* u = vt.data() + (i + 1) * n;  // column i+1: the vector.
+    if (h != 0.0) {
+      for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
+      for (std::size_t j = 0; j <= i; ++j) {
+        double* colj = vt.data() + j * n;
+        double g = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) g += u[k] * colj[k];
+        for (std::size_t k = 0; k <= i; ++k) colj[k] -= g * d[k];
+      }
+    }
+    for (std::size_t k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d[j] = v(n - 1, j);
+    v(n - 1, j) = 0.0;
+  }
+  v(n - 1, n - 1) = 1.0;
 
-  return finalize(a, qt, n, /*q_transposed=*/true, converged, sweeps_used);
+  // --- Implicit-shift QL on the tridiagonal (tql2) ---
+  // d holds the diagonal, e[i] the subdiagonal entry below d[i].
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  const double eps = std::numeric_limits<double>::epsilon();
+  double shift = 0.0;
+  double tst1 = 0.0;
+  int iterations = 0;
+  bool capped = false;
+  for (std::size_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    // Find the first negligible subdiagonal entry at or after l. Bounded
+    // by n - 1 explicitly: e[n-1] == 0 stops the walk for finite input,
+    // but a NaN tst1 fails every comparison.
+    std::size_t mm = l;
+    while (mm + 1 < n && !(std::fabs(e[mm]) <= eps * tst1)) ++mm;
+    if (mm > l) {
+      int iter = 0;
+      do {
+        if (iter == kMaxQlIterations) {
+          capped = true;
+          break;
+        }
+        ++iter;
+        ++iterations;
+        // Wilkinson-style implicit shift from the leading 2x2 block.
+        double g = d[l];
+        double p = (d[l + 1] - g) / (2.0 * e[l]);
+        double r = std::hypot(p, 1.0);
+        if (p < 0.0) r = -r;
+        d[l] = e[l] / (p + r);
+        d[l + 1] = e[l] * (p + r);
+        const double dl1 = d[l + 1];
+        double h = g - d[l];
+        for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+        shift += h;
+        // Chase the bulge from mm - 1 up to l with Givens rotations.
+        p = d[mm];
+        double c = 1.0, c2 = 1.0, c3 = 1.0;
+        const double el1 = e[l + 1];
+        double s = 0.0, s2 = 0.0;
+        for (std::size_t i = mm; i-- > l;) {
+          c3 = c2;
+          c2 = c;
+          s2 = s;
+          g = c * e[i];
+          h = c * p;
+          r = std::hypot(p, e[i]);
+          e[i + 1] = s * r;
+          s = e[i] / r;
+          c = p / r;
+          p = c * d[i] - s * g;
+          d[i + 1] = h + s * (c * g + s * d[i]);
+          // Rotate eigenvector columns i and i+1: two contiguous rows.
+          double* qi = vt.data() + i * n;
+          double* qi1 = vt.data() + (i + 1) * n;
+          for (std::size_t k = 0; k < n; ++k) {
+            const double a = qi[k];
+            const double b = qi1[k];
+            qi1[k] = s * a + c * b;
+            qi[k] = c * a - s * b;
+          }
+        }
+        p = -s * s2 * c3 * el1 * e[l] / dl1;
+        e[l] = s * p;
+        d[l] = c * p;
+      } while (std::fabs(e[l]) > eps * tst1);
+    }
+    d[l] += shift;
+    e[l] = 0.0;
+  }
+
+  return finalize(d, vt, n, /*q_transposed=*/true, finite && !capped,
+                  iterations);
 }
 
 EigenDecomposition eigh_reference(const Tensor& m, int max_sweeps,
@@ -219,7 +320,9 @@ EigenDecomposition eigh_reference(const Tensor& m, int max_sweeps,
   }
   if (!converged) converged = off_diagonal_mass(a, n) <= stop;
 
-  return finalize(a, q, n, /*q_transposed=*/false, converged, sweeps_used);
+  std::vector<double> diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = a[i * n + i];
+  return finalize(diag, q, n, /*q_transposed=*/false, converged, sweeps_used);
 }
 
 Tensor eigen_reconstruct(const EigenDecomposition& e) {

@@ -1,12 +1,17 @@
 #pragma once
-// Symmetric eigendecomposition (cyclic Jacobi) — the kernel KFAC uses to
-// invert its Kronecker factors (paper Eq. 2).
+// Symmetric eigendecomposition — the kernel KFAC uses to invert its
+// Kronecker factors (paper Eq. 2).
 //
-// The production `eigh` fuses each rotation's row and column updates into
-// one pass over two contiguous rows (the symmetric mirror is written back
-// afterwards) and accumulates eigenvectors in transposed storage, so every
-// inner loop is stride-1 (DESIGN.md §11). The original two-pass rotation
-// is retained as `eigh_reference` for the property tests.
+// The production `eigh` is the textbook two-phase solver in double
+// precision: Householder tridiagonalisation (tred2) accumulating the
+// orthogonal transform, then implicit-shift QL on the tridiagonal (tql2).
+// The accumulator is stored transposed, so every Householder update and
+// every QL rotation walks contiguous rows (DESIGN.md §11.4). It is a pure
+// serial function of its input and uses no thread pool, so callers may
+// run it inside engine tasks without breaking bit-exactness.
+//
+// `eigh_reference` is a two-pass cyclic Jacobi, kept as the correctness
+// oracle for the property tests.
 
 #include "src/tensor/tensor.hpp"
 
@@ -16,23 +21,28 @@ namespace compso::tensor {
 struct EigenDecomposition {
   Tensor eigenvectors;  ///< (n x n), column i is the i-th eigenvector.
   std::vector<float> eigenvalues;  ///< length n, ascending order.
-  bool converged = true;  ///< false: sweeps exhausted above tolerance.
-  int sweeps_used = 0;    ///< sweeps executed before termination.
+  /// false: the iteration budget ran out (see the solver), or the input
+  /// held NaN/Inf. Callers that cannot use an approximate basis must
+  /// check it.
+  bool converged = true;
+  /// Iterations spent: implicit QL iterations (all eigenvalues together)
+  /// for `eigh`, Jacobi sweeps for `eigh_reference`.
+  int sweeps_used = 0;
 };
 
-/// Cyclic-by-rows Jacobi eigendecomposition of a symmetric matrix.
+/// Householder tridiagonalisation + implicit-shift QL.
 ///
-/// Converges quadratically; `max_sweeps` bounds work for the small factor
-/// matrices (d <= a few hundred) used by KFAC. Off-diagonal mass below
-/// `tol * frobenius_norm` terminates early. Non-convergence (all sweeps
-/// spent with the off-diagonal mass still above tolerance) is reported
-/// through `EigenDecomposition::converged`; callers that cannot tolerate
-/// an approximate basis must check it.
-EigenDecomposition eigh(const Tensor& m, int max_sweeps = 32,
-                        double tol = 1e-10);
+/// Each eigenvalue gets at most 30 QL iterations (the textbook limit);
+/// hitting the cap, or non-finite input, reports `converged = false`. The
+/// loops stay bounded for NaN/Inf input and never read out of range.
+EigenDecomposition eigh(const Tensor& m);
 
-/// The pre-fusion implementation (separate row-rotation, column-rotation
-/// and Q passes), kept as a correctness oracle. Same contract as `eigh`.
+/// Cyclic-by-rows Jacobi (separate row-rotation, column-rotation and Q
+/// passes), kept as the correctness oracle.
+///
+/// `max_sweeps` bounds the work; off-diagonal mass below
+/// `tol * frobenius_norm` terminates early. All sweeps spent with the
+/// off-diagonal mass still above tolerance reports `converged = false`.
 EigenDecomposition eigh_reference(const Tensor& m, int max_sweeps = 32,
                                   double tol = 1e-10);
 

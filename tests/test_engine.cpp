@@ -4,6 +4,7 @@
 // FaultTolerantTrainer checkpoint/resume under a parallel engine, and a
 // fuzz loop driving mutated payloads through the fused COMPSO decoder.
 
+#include "src/common/thread_pool.hpp"
 #include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/compress/payload_fuzz.hpp"
@@ -21,6 +22,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cm = compso::comm;
@@ -78,6 +80,53 @@ TEST(CompressionEngine, RunBatchRunsEveryJobEvenWhenOneThrows) {
     // must not observe half-written buffers from an abandoned batch.
     EXPECT_EQ(ran.load(), 8) << "threads=" << threads;
   }
+}
+
+TEST(CompressionEngine, HelpedJobsRaiseAtTheirOwnTicket) {
+  // One worker: while it holds the slow job, wait() on it runs the queued
+  // jobs on this thread. Whoever runs the throwing job, its exception
+  // must surface at its own ticket, not at the one being waited on.
+  cc::CompressionEngine eng(1);
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  const auto slow = eng.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+    ++ran;
+  });
+  const auto bad =
+      eng.submit([] { throw std::runtime_error("helped boom"); });
+  const auto last = eng.submit([&] {
+    release = true;  // runs after `bad` when helped in ticket order.
+    ++ran;
+  });
+  EXPECT_NO_THROW(eng.wait(slow));
+  EXPECT_NO_THROW(eng.wait(last));
+  EXPECT_THROW(eng.wait(bad), std::runtime_error);
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_NO_THROW(eng.wait_all());
+}
+
+TEST(CompressionEngine, JobsRunInWorkerContextWhoeverRunsThem) {
+  // The caller helps with its own batch and with queued tickets; either
+  // way a job sees on_worker_thread(), so its math kernels run inline as
+  // on a worker, and the caller's own context is restored afterwards.
+  cc::CompressionEngine eng(2);
+  std::atomic<int> in_worker_context{0};
+  std::vector<std::function<void()>> jobs;
+  for (int i = 0; i < 16; ++i) {
+    jobs.push_back([&] {
+      if (compso::common::ThreadPool::on_worker_thread()) ++in_worker_context;
+    });
+  }
+  eng.run_batch(std::move(jobs));
+  for (int i = 0; i < 16; ++i) {
+    eng.submit([&] {
+      if (compso::common::ThreadPool::on_worker_thread()) ++in_worker_context;
+    });
+  }
+  eng.wait_all();
+  EXPECT_EQ(in_worker_context.load(), 32);
+  EXPECT_FALSE(compso::common::ThreadPool::on_worker_thread());
 }
 
 TEST(CompressionEngine, TaskRngIsDeterministicPerTaskId) {

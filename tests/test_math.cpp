@@ -1,8 +1,8 @@
 // Blocked math engine (src/tensor/matrix_ops, DESIGN.md §11) against the
 // retained naive references: property tests on awkward shapes, bitwise
 // determinism of the pool-parallel path at several thread counts, NaN/Inf
-// propagation through the kernels (no zero-skip), the fused cyclic-Jacobi
-// eigh against its reference, non-convergence reporting, and the
+// propagation through the kernels (no zero-skip), the tridiagonal-QL eigh
+// against the Jacobi oracle, non-convergence reporting, and the
 // scratch-reuse helper. The parallel suites run under TSan via ci.sh's
 // build-tsan config.
 
@@ -18,7 +18,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace ct = compso::tensor;
@@ -256,7 +258,7 @@ TEST(NonFinite, ZeroTimesNanPropagatesThroughBlockedKernels) {
   EXPECT_TRUE(std::isnan(sc.at(64, 0)));  // mirrored triangle.
 }
 
-// --- fused cyclic-Jacobi eigh vs its reference ---
+// --- tridiagonal-QL eigh vs the Jacobi oracle ---
 
 ct::Tensor random_symmetric(std::size_t n, std::uint64_t seed) {
   ct::Tensor m = rand2(n, n, seed);
@@ -267,6 +269,29 @@ ct::Tensor random_symmetric(std::size_t n, std::uint64_t seed) {
     }
   }
   return m;
+}
+
+/// KFAC-style covariance X^T X / batch of `batch` samples with a trailing
+/// all-ones bias column; rank-deficient (a zero eigenspace of dimension
+/// n - batch) whenever batch < n.
+ct::Tensor covariance(std::size_t n, std::size_t batch, std::uint64_t seed) {
+  ct::Tensor x({batch, n});
+  ct::Rng rng(seed);
+  rng.fill_normal(x.span());
+  for (std::size_t r = 0; r < batch; ++r) x.at(r, n - 1) = 1.0F;
+  ct::Tensor m;
+  ct::syrk_tn(x, 1.0F / static_cast<float>(batch), 0.0F, m);
+  return m;
+}
+
+/// Q diag(values) Q^T with Q the oracle's eigenbasis of a random matrix,
+/// so the spectrum is exactly `values` (repeats included).
+ct::Tensor with_spectrum(const std::vector<float>& values,
+                         std::uint64_t seed) {
+  ct::EigenDecomposition e =
+      ct::eigh_reference(random_symmetric(values.size(), seed));
+  e.eigenvalues = values;
+  return ct::eigen_reconstruct(e);
 }
 
 void expect_valid_decomposition(const ct::EigenDecomposition& e,
@@ -292,49 +317,169 @@ void expect_valid_decomposition(const ct::EigenDecomposition& e,
   }
 }
 
-TEST(FusedEigh, MatchesReferenceAcrossSizes) {
-  for (std::size_t n : {1UL, 2UL, 5UL, 33UL, 64UL, 129UL}) {
-    const ct::Tensor m = random_symmetric(n, 900 + n);
-    const auto fused = ct::eigh(m);
-    const auto ref = ct::eigh_reference(m);
-    expect_valid_decomposition(fused, m, "fused");
-    expect_valid_decomposition(ref, m, "reference");
+/// eigh and the oracle both decompose `m` validly and agree on every
+/// eigenvalue (eigenvectors may differ by sign or, inside a degenerate
+/// eigenspace, by basis — the checks above are basis-free).
+void expect_matches_oracle(const ct::Tensor& m, const std::string& what) {
+  const auto got = ct::eigh(m);
+  const auto ref = ct::eigh_reference(m);
+  expect_valid_decomposition(got, m, (what + " eigh").c_str());
+  expect_valid_decomposition(ref, m, (what + " reference").c_str());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    EXPECT_NEAR(got.eigenvalues[i], ref.eigenvalues[i], 1e-4F)
+        << what << " eigenvalue " << i;
+  }
+}
+
+TEST(Eigh, MatchesReferenceAcrossSizes) {
+  for (std::size_t n : {1UL, 2UL, 5UL, 33UL, 129UL, 160UL, 161UL, 193UL,
+                        257UL}) {
+    expect_matches_oracle(random_symmetric(n, 900 + n),
+                          "n=" + std::to_string(n));
+  }
+}
+
+TEST(Eigh, MatchesReferenceOnRepeatedEigenvalues) {
+  for (std::size_t n : {5UL, 32UL, 129UL}) {
+    // Three clusters of exactly equal eigenvalues, one of them zero.
+    std::vector<float> values(n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(fused.eigenvalues[i], ref.eigenvalues[i], 1e-4F)
-          << "n=" << n << " eigenvalue " << i;
+      values[i] = static_cast<float>(i % 3) - 1.0F;
+    }
+    expect_matches_oracle(with_spectrum(values, 950 + n),
+                          "repeated n=" + std::to_string(n));
+  }
+}
+
+TEST(Eigh, MatchesReferenceOnRankDeficientCovariance) {
+  // batch < n: the KFAC factors of a wide layer on a small batch.
+  for (const auto& [n, batch] :
+       {std::pair{32UL, 8UL}, std::pair{129UL, 64UL},
+        std::pair{161UL, 100UL}}) {
+    expect_matches_oracle(covariance(n, batch, 970 + n),
+                          "covariance n=" + std::to_string(n) +
+                              " batch=" + std::to_string(batch));
+  }
+}
+
+TEST(Eigh, SmallClosedForms) {
+  ct::Tensor one({1, 1});
+  one.at(0, 0) = -2.5F;
+  const auto e1 = ct::eigh(one);
+  EXPECT_TRUE(e1.converged);
+  EXPECT_EQ(e1.sweeps_used, 0);
+  EXPECT_FLOAT_EQ(e1.eigenvalues[0], -2.5F);
+  EXPECT_FLOAT_EQ(std::fabs(e1.eigenvectors.at(0, 0)), 1.0F);
+
+  // [[2, 1], [1, 2]]: eigenvalues 1 and 3, eigenvectors (1, ∓1)/sqrt(2).
+  ct::Tensor two({2, 2});
+  two.at(0, 0) = two.at(1, 1) = 2.0F;
+  two.at(0, 1) = two.at(1, 0) = 1.0F;
+  const auto e2 = ct::eigh(two);
+  EXPECT_TRUE(e2.converged);
+  EXPECT_NEAR(e2.eigenvalues[0], 1.0F, 1e-6F);
+  EXPECT_NEAR(e2.eigenvalues[1], 3.0F, 1e-6F);
+  const float h = 1.0F / std::sqrt(2.0F);
+  EXPECT_NEAR(std::fabs(e2.eigenvectors.at(0, 0)), h, 1e-6F);
+  EXPECT_NEAR(e2.eigenvectors.at(0, 0), -e2.eigenvectors.at(1, 0), 1e-6F);
+  EXPECT_NEAR(e2.eigenvectors.at(0, 1), e2.eigenvectors.at(1, 1), 1e-6F);
+  expect_valid_decomposition(e2, two, "2x2");
+}
+
+TEST(Eigh, DegenerateInputsConverge) {
+  // All-zero matrix: nothing to reduce, no QL iteration, identity basis.
+  const ct::Tensor zero({8, 8});
+  const auto z = ct::eigh(zero);
+  EXPECT_TRUE(z.converged);
+  EXPECT_EQ(z.sweeps_used, 0);
+  expect_valid_decomposition(z, zero, "zero");
+  for (float v : z.eigenvalues) EXPECT_EQ(v, 0.0F);
+  // Already-diagonal matrix: exact eigenvalues without a QL iteration.
+  ct::Tensor diag({5, 5});
+  for (std::size_t i = 0; i < 5; ++i) {
+    diag.at(i, i) = static_cast<float>(4 - i);
+  }
+  const auto d = ct::eigh(diag);
+  EXPECT_TRUE(d.converged);
+  EXPECT_EQ(d.sweeps_used, 0);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_FLOAT_EQ(d.eigenvalues[i], static_cast<float>(i));
+  }
+  expect_valid_decomposition(d, diag, "diagonal");
+  // Empty matrix: an empty, converged decomposition.
+  const auto empty = ct::eigh(ct::Tensor({0, 0}));
+  EXPECT_TRUE(empty.converged);
+  EXPECT_TRUE(empty.eigenvalues.empty());
+}
+
+TEST(Eigh, AlreadyTridiagonalMatchesReference) {
+  // The 1-2-1 stencil: eigenvalues 2 - 2cos(k pi / (n + 1)).
+  const std::size_t n = 40;
+  ct::Tensor t({n, n});
+  for (std::size_t i = 0; i < n; ++i) {
+    t.at(i, i) = 2.0F;
+    if (i + 1 < n) t.at(i, i + 1) = t.at(i + 1, i) = -1.0F;
+  }
+  expect_matches_oracle(t, "tridiagonal");
+  const auto e = ct::eigh(t);
+  const double pi = std::acos(-1.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double want =
+        2.0 - 2.0 * std::cos(static_cast<double>(k + 1) * pi /
+                             static_cast<double>(n + 1));
+    EXPECT_NEAR(e.eigenvalues[k], want, 1e-5) << k;
+  }
+  EXPECT_LE(e.sweeps_used, 30 * static_cast<int>(n));
+}
+
+TEST(Eigh, NonFiniteInputReportsNonConvergence) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf, -inf}) {
+    for (std::size_t n : {1UL, 2UL, 7UL, 33UL}) {
+      for (const std::size_t at : {0UL, n - 1}) {
+        ct::Tensor m = random_symmetric(n, 990 + n);
+        m.at(at, n - 1 - at) = bad;
+        m.at(n - 1 - at, at) = bad;
+        const auto e = ct::eigh(m);
+        EXPECT_FALSE(e.converged) << "n=" << n << " bad=" << bad;
+        ASSERT_EQ(e.eigenvalues.size(), n);
+        EXPECT_EQ(e.eigenvectors.rows(), n);
+        EXPECT_LE(e.sweeps_used, 30 * static_cast<int>(n));
+      }
     }
   }
 }
 
-TEST(FusedEigh, ReportsNonConvergence) {
+// --- the Jacobi oracle's sweep budget ---
+
+TEST(EighReference, ReportsNonConvergence) {
   const ct::Tensor m = random_symmetric(16, 77);
   // Zero sweeps on a matrix with off-diagonal mass: no work done.
-  const auto none = ct::eigh(m, /*max_sweeps=*/0);
+  const auto none = ct::eigh_reference(m, /*max_sweeps=*/0);
   EXPECT_FALSE(none.converged);
   EXPECT_EQ(none.sweeps_used, 0);
-  const auto none_ref = ct::eigh_reference(m, /*max_sweeps=*/0);
-  EXPECT_FALSE(none_ref.converged);
   // An unreachable tolerance exhausts every sweep.
-  const auto hopeless = ct::eigh(m, /*max_sweeps=*/1, /*tol=*/0.0);
+  const auto hopeless = ct::eigh_reference(m, /*max_sweeps=*/1, /*tol=*/0.0);
   EXPECT_FALSE(hopeless.converged);
   EXPECT_EQ(hopeless.sweeps_used, 1);
   // The default budget converges and says so.
-  const auto ok = ct::eigh(m);
+  const auto ok = ct::eigh_reference(m);
   EXPECT_TRUE(ok.converged);
   EXPECT_GT(ok.sweeps_used, 0);
 }
 
-TEST(FusedEigh, DegenerateInputsConverge) {
+TEST(EighReference, DegenerateInputsConverge) {
   // All-zero matrix: the Frobenius-norm floor must yield a satisfiable
   // stopping threshold on the first check.
   const ct::Tensor zero({8, 8});
-  const auto z = ct::eigh(zero, /*max_sweeps=*/0);
+  const auto z = ct::eigh_reference(zero, /*max_sweeps=*/0);
   EXPECT_TRUE(z.converged);
   EXPECT_EQ(z.sweeps_used, 0);
   // Already-diagonal matrix: converges without spending a sweep.
   ct::Tensor diag({5, 5});
   for (std::size_t i = 0; i < 5; ++i) diag.at(i, i) = static_cast<float>(i);
-  const auto d = ct::eigh(diag);
+  const auto d = ct::eigh_reference(diag);
   EXPECT_TRUE(d.converged);
   EXPECT_EQ(d.sweeps_used, 0);
   for (std::size_t i = 0; i < 5; ++i) {

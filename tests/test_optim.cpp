@@ -1,6 +1,7 @@
 // Tests for optimizers: LR schedulers, KFAC layer math, distributed KFAC
 // and SGD (replica consistency, compression round-trips, convergence).
 
+#include "src/compress/compression_engine.hpp"
 #include "src/nn/dataset.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/optim/dist_kfac.hpp"
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace opt = compso::optim;
 namespace nn = compso::nn;
@@ -123,9 +125,56 @@ TEST(KfacState, PreconditionReducesConditioning) {
   EXPECT_TRUE(std::isfinite(ct::l2_norm(k.span())));
 }
 
+TEST(KfacState, PreconditionAgreesAcrossEigenSolvers) {
+  // Batch 24 < 41 input features: A has a 17-dimensional zero
+  // eigenspace, so the two solvers pick different bases inside it (and
+  // independent eigenvector signs elsewhere). Eq. 2 depends only on the
+  // spectral projectors, so the preconditioned gradient must agree.
+  ct::Rng rng(21);
+  opt::KfacLayerState st(41, 30);
+  ct::Tensor a({24, 41}), g({24, 30});
+  rng.fill_normal(a.span());
+  for (std::size_t r = 0; r < 24; ++r) a.at(r, 40) = 1.0F;
+  rng.fill_normal(g.span(), 0.0F, 0.05F);
+  st.update_factors(a, g, 0.0);
+  st.refresh_eigen();
+  ct::Tensor grad({30, 41});
+  rng.fill_normal(grad.span());
+  const double gamma = 0.05;
+  const ct::Tensor k_ql = st.precondition(grad, gamma);
+
+  opt::KfacLayerState oracle(41, 30);
+  oracle.restore(st.factor_a(), st.factor_g(),
+                 ct::eigh_reference(st.factor_a()),
+                 ct::eigh_reference(st.factor_g()), /*has_eigen=*/true,
+                 st.updates());
+  const ct::Tensor k_ref = oracle.precondition(grad, gamma);
+  const double scale = ct::extrema(k_ref.span()).abs_max;
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < k_ref.size(); ++i) {
+    EXPECT_NEAR(k_ql[i], k_ref[i], 1e-4 * scale) << i;
+  }
+}
+
+TEST(KfacState, PerFactorRefreshCompletesTogether) {
+  opt::KfacLayerState st(3, 2);
+  ct::Tensor a({4, 3}), g({4, 2});
+  a.fill(1.0F);
+  g.fill(0.5F);
+  st.update_factors(a, g, 0.9);
+  st.refresh_eigen_a();
+  EXPECT_FALSE(st.has_eigen());
+  st.refresh_eigen_g();
+  EXPECT_TRUE(st.has_eigen());
+  ct::Tensor grad({2, 3});
+  EXPECT_NO_THROW((void)st.precondition(grad, 0.1));
+}
+
 TEST(KfacState, RefreshBeforeStatsThrows) {
   opt::KfacLayerState st(3, 2);
   EXPECT_THROW(st.refresh_eigen(), std::logic_error);
+  EXPECT_THROW(st.refresh_eigen_a(), std::logic_error);
+  EXPECT_THROW(st.refresh_eigen_g(), std::logic_error);
 }
 
 TEST(KfacState, PreconditionBeforeEigenThrows) {
@@ -304,6 +353,45 @@ TEST(DistKfac, StepBeforeBackwardThrows) {
   opt::DistKfac kfac({}, comm, f.ptrs);
   ct::Rng rng(3);
   EXPECT_THROW(kfac.step(0, 0.01, nullptr, rng), std::logic_error);
+}
+
+TEST(DistKfac, NanPoisonedFactorSkipsThroughTheNonFiniteGuard) {
+  // A NaN in one replica's cached layer input reaches only that layer's
+  // A factor (the gradients were computed from clean activations), so
+  // the refresh hands eigh a NaN factor. The step must finish: eigh
+  // reports non-convergence and stays bounded, preconditioning yields
+  // NaN, and the guard zeroes and skips the slot — on the serial engine
+  // and on a pool alike.
+  for (const std::size_t threads : {0UL, 2UL}) {
+    DistFixture f(2);
+    cm::Communicator comm(cm::Topology::with_gpus(2),
+                          cm::NetworkModel::platform1());
+    opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 1}, comm,
+                       f.ptrs);
+    kfac.set_recovery({.enabled = true, .skip_nonfinite_steps = true});
+    compso::compress::CompressionEngine eng(threads);
+    kfac.set_engine(&eng);
+    const auto compso = compso::compress::make_compso({});
+    ct::Rng data_rng(1), sr_rng(2);
+    f.run_fwd_bwd(data_rng);
+    kfac.step(0, 0.01, compso.get(), sr_rng);
+    ASSERT_EQ(comm.recovery().nonfinite_skips, 0U);
+
+    f.run_fwd_bwd(data_rng);
+    const std::size_t first = f.replicas[1].trainable_layers().front();
+    auto* input = const_cast<ct::Tensor*>(
+        f.replicas[1].layer(first).kfac_input());
+    input->at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    kfac.step(1, 0.01, compso.get(), sr_rng);
+    EXPECT_GE(comm.recovery().nonfinite_skips, 1U) << "threads=" << threads;
+    for (auto& m : f.replicas) {
+      for (std::size_t li : m.trainable_layers()) {
+        for (const float w : m.layer(li).weight()->span()) {
+          ASSERT_TRUE(std::isfinite(w)) << "threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(DistSgd, MatchesSingleProcessSgdWithoutCompression) {

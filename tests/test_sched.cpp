@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -67,6 +68,28 @@ TEST(StepGraph, ComputeFirstThenPriorityThenInsertion) {
   EXPECT_EQ(ord[2], main_hi);
   EXPECT_EQ(ord[3], main_lo);
   EXPECT_EQ(ord[4], main_tie);
+}
+
+TEST(StepGraph, ComputeJoinCompetesWithMainByPriority) {
+  opt::StepGraph g;
+  const auto fx = g.add_main("fx", 10, [] {});
+  const auto eigh = g.add_compute("eigh", 0, [] {});
+  const auto join = g.add_compute("join", -1, [] {});
+  const auto comm_hi = g.add_main("comm_hi", 5, [] {});
+  const auto tail = g.add_main("tail", -2, [] {});
+  g.depends(eigh, fx);
+  g.depends(join, eigh);
+  g.depends(tail, join);
+  const auto ord = g.order();
+  ASSERT_EQ(ord.size(), 5U);
+  // eigh depends only on a main task, so it is submitted eagerly; join
+  // must reap eigh first, so it waits behind the higher-priority
+  // collective instead of blocking the thread ahead of it.
+  EXPECT_EQ(ord[0], fx);
+  EXPECT_EQ(ord[1], eigh);
+  EXPECT_EQ(ord[2], comm_hi);
+  EXPECT_EQ(ord[3], join);
+  EXPECT_EQ(ord[4], tail);
 }
 
 TEST(StepGraph, CycleThrows) {
@@ -293,6 +316,97 @@ TEST(SchedDeterminism, DistSgdBitExactAcrossThreadCounts) {
   expect_bitwise_equal(serial, run_sgd_sched(8), "8-thread engine");
 }
 
+// --- per-factor eigh nodes: eigh_a{s} / eigh_g{s} joined by precond{s} ---
+
+/// DistKfac refreshing every step (so every step runs the split eigh
+/// graph) over the 2-layer fixture; records each step's sched stats.
+std::vector<float> run_split_eigh(opt::PrecondLayout layout,
+                                  std::size_t engine_threads,
+                                  std::vector<opt::StepGraph::Stats>* stats) {
+  DistFixture f(4);
+  cm::Communicator comm(cm::Topology::with_gpus(4),
+                        cm::NetworkModel::platform1());
+  opt::DistKfacConfig cfg;
+  cfg.damping = 0.1;
+  cfg.eigen_refresh_every = 1;
+  cfg.aggregation = 2;
+  cfg.layout = layout;
+  opt::DistKfac kfac(cfg, comm, f.ptrs);
+  cc::CompressionEngine eng(engine_threads);
+  kfac.set_engine(&eng);
+  const auto compso = cc::make_compso({});
+  ct::Rng data_rng(1), sr_rng(2);
+  for (std::size_t t = 0; t < 4; ++t) {
+    f.run_fwd_bwd(data_rng);
+    kfac.step(t, 0.01, compso.get(), sr_rng);
+    if (stats != nullptr) stats->push_back(kfac.last_sched_stats());
+  }
+  return f.flat_params();
+}
+
+const char* layout_name(opt::PrecondLayout layout) {
+  return layout == opt::PrecondLayout::kKaisa ? "kaisa" : "sharded";
+}
+
+TEST(SchedSplitEigh, RefreshStepsKeepEveryCollectiveOverlapped) {
+  for (const auto layout :
+       {opt::PrecondLayout::kKaisa, opt::PrecondLayout::kSharded}) {
+    std::vector<opt::StepGraph::Stats> stats;
+    run_split_eigh(layout, 2, &stats);
+    ASSERT_EQ(stats.size(), 4U);
+    for (std::size_t t = 0; t < stats.size(); ++t) {
+      EXPECT_EQ(stats[t].idle_comm, 0U)
+          << layout_name(layout) << " step " << t;
+      EXPECT_GE(stats[t].overlapped_comm, 1U)
+          << layout_name(layout) << " step " << t;
+    }
+  }
+}
+
+TEST(SchedSplitEigh, RefreshStepHasOneEighNodePerFactor) {
+  DistFixture f(4);
+  cm::Communicator comm(cm::Topology::with_gpus(4),
+                        cm::NetworkModel::platform1());
+  opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 1}, comm,
+                     f.ptrs);
+  ASSERT_GE(kfac.layer_count(), 2U);
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  comm.set_obs({.metrics = &metrics, .tracer = &tracer});
+  ct::Rng data_rng(1), sr_rng(2);
+  f.run_fwd_bwd(data_rng);
+  kfac.step(0, 0.01, nullptr, sr_rng);
+  comm.set_obs({});
+
+  std::vector<std::string> tasks;
+  for (const auto& e : tracer.events()) {
+    if (e.cat == "sched.task") tasks.push_back(e.name);
+  }
+  const auto count = [&](const std::string& name) {
+    return std::count(tasks.begin(), tasks.end(), name);
+  };
+  for (std::size_t s = 0; s < kfac.layer_count(); ++s) {
+    const std::string slot = std::to_string(s);
+    EXPECT_EQ(count("sched.eigh_a" + slot), 1) << slot;
+    EXPECT_EQ(count("sched.eigh_g" + slot), 1) << slot;
+    EXPECT_EQ(count("sched.precond" + slot), 1) << slot;
+    EXPECT_EQ(count("sched.eigh_precond" + slot), 0) << slot;
+  }
+}
+
+TEST(SchedSplitEigh, BitExactAcrossThreadCountsUnderEitherLayout) {
+  for (const auto layout :
+       {opt::PrecondLayout::kKaisa, opt::PrecondLayout::kSharded}) {
+    const auto serial = run_split_eigh(layout, 0, nullptr);
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+      const std::string what = std::string(layout_name(layout)) +
+                               " threads=" + std::to_string(threads);
+      expect_bitwise_equal(serial, run_split_eigh(layout, threads, nullptr),
+                           what.c_str());
+    }
+  }
+}
+
 // --- fault injection + checkpoint/resume under the scheduler ---
 
 core::FtTrainerConfig sched_ft_config(core::OptimizerKind kind,
@@ -369,6 +483,27 @@ TEST(SchedDeterminism, CheckpointResumeBitExactAcrossThreadCounts) {
 
   expect_bitwise_equal(straight.parameters(), resumed.parameters(),
                        "resumed trajectory");
+}
+
+TEST(SchedDeterminism, ShardedSplitRefreshResumesBitExact) {
+  // Refresh every other step under the sharded layout, so the split eigh
+  // graph runs on both sides of the checkpoint.
+  const auto config = [](std::size_t threads) {
+    auto cfg = sched_ft_config(core::OptimizerKind::kKfac, threads);
+    cfg.kfac.layout = opt::PrecondLayout::kSharded;
+    cfg.kfac.eigen_refresh_every = 2;
+    return cfg;
+  };
+  core::FaultTolerantTrainer straight(config(0));
+  straight.run(10);
+  core::FaultTolerantTrainer first(config(8));
+  first.run(5);
+  const auto frame = first.checkpoint();
+  core::FaultTolerantTrainer resumed(config(2));
+  resumed.restore(frame);
+  resumed.run(5);
+  expect_bitwise_equal(straight.parameters(), resumed.parameters(),
+                       "sharded resumed trajectory");
 }
 
 // --- the overlap + idle-gap trace gate (ISSUE 6 tentpole criterion) ---
