@@ -2,19 +2,29 @@
 //
 // Measures the fused single-pass pipeline (make_compso: blockwise extrema
 // + filter/quantize/pack in one streaming pass, scratch reuse) against
-// the retained multi-pass reference (make_compso_reference) on synthetic
-// KFAC-profile gradients, verifies the payloads are bit-identical, prints
-// a table, and writes BENCH_compress.json (for the Fig. 8 host-throughput
-// mapping — see EXPERIMENTS.md). Usage:
+// the retained multi-pass reference (make_compso_reference) and against
+// error feedback over the fused pipeline (EF+COMPSO, the compressor the
+// SGD training path runs) on synthetic KFAC-profile gradients, verifies
+// the fused and reference payloads are bit-identical and that COMPSO's
+// decode-free reconstruction equals decompress_into of its own payload,
+// prints a table, and writes BENCH_compress.json (for the Fig. 8
+// host-throughput mapping — see EXPERIMENTS.md). Usage:
 //
-//   micro_compressor_throughput [output.json]   (default BENCH_compress.json)
+//   micro_compressor_throughput [--smoke] [output.json]
+//                                       (default BENCH_compress.json)
+//
+// --smoke runs small sizes with few repetitions and gates on the two
+// identities only, never on wall-clock; the exit status is nonzero when
+// either identity fails at any size.
 
+#include "bench/bench_util.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/perf/perf_model.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,7 +36,9 @@ struct Row {
   std::size_t elems;
   perf::HostThroughput fused;
   perf::HostThroughput unfused;
+  perf::HostThroughput ef;
   bool payloads_identical;
+  bool recon_identical;
 };
 
 double gbps(double bytes_per_s) { return bytes_per_s / 1e9; }
@@ -49,28 +61,73 @@ bool payloads_match(const compress::GradientCompressor& a,
   return a.compress(values, ra) == b.compress(values, rb);
 }
 
+/// compress_reconstruct_into's values equal decompress_into of the payload
+/// it produced, bit for bit.
+bool reconstruction_matches(const compress::GradientCompressor& c,
+                            std::span<const float> values,
+                            std::uint64_t seed) {
+  tensor::Rng rng(seed);
+  compress::Bytes payload;
+  std::vector<float> recon;
+  std::vector<float> decoded;
+  c.compress_reconstruct_into(values, rng, payload, recon);
+  c.decompress_into(payload, decoded);
+  return recon.size() == decoded.size() &&
+         (decoded.empty() ||
+          std::memcmp(recon.data(), decoded.data(),
+                      decoded.size() * sizeof(float)) == 0);
+}
+
+void write_throughput(std::FILE* f, const char* name,
+                      const perf::HostThroughput& t, const char* tail) {
+  std::fprintf(f,
+               "     \"%s\": {\"compress_gbps\": %.4f, \"decompress_gbps\":"
+               " %.4f, \"roundtrip_gbps\": %.4f, \"ratio\": %.3f}%s\n",
+               name, gbps(t.compress_bytes_per_s),
+               gbps(t.decompress_bytes_per_s),
+               gbps(roundtrip_bytes_per_s(t)), t.compression_ratio, tail);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_compress.json";
+  bool smoke = false;
+  std::string out_path = "BENCH_compress.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "usage: %s [--smoke] [output.json]\n", argv[0]);
+      return 2;
+    } else {
+      out_path = arg;
+    }
+  }
   const auto fused = compress::make_compso({});
   const auto unfused = compress::make_compso_reference({});
+  const auto ef = compress::make_error_feedback(compress::make_compso({}));
 
   // 2^16 .. 2^20 floats = 256 KiB .. 4 MiB gradients; the paper's layer
   // sizes for BERT-large/GPT-neo live in this range, and the acceptance
-  // criterion reads the >= 1 MiB rows.
-  const std::vector<std::size_t> sizes = {1UL << 16, 1UL << 18, 1UL << 20};
+  // criterion reads the >= 1 MiB rows. The smoke sizes end on partial
+  // bitmap bytes and partial rANS lane groups.
+  const std::vector<std::size_t> sizes =
+      smoke ? std::vector<std::size_t>{1, 4097, (1UL << 14) + 3}
+            : std::vector<std::size_t>{1UL << 16, 1UL << 18, 1UL << 20};
+  const std::size_t reps = smoke ? 2 : 12;
   constexpr std::uint64_t kSeed = 20240806;
   std::vector<Row> rows;
 
   std::printf(
-      "%10s | %21s | %21s | %9s | %s\n"
-      "%10s | %10s %10s | %10s %10s | %9s |\n",
-      "elems", "fused GB/s", "unfused GB/s", "roundtrip", "payloads",
-      "", "comp", "decomp", "comp", "decomp", "speedup");
+      "%10s | %21s | %21s | %21s | %9s | %s\n"
+      "%10s | %10s %10s | %10s %10s | %10s %10s | %9s |\n",
+      "elems", "fused GB/s", "unfused GB/s", "EF+COMPSO GB/s", "roundtrip",
+      "identities", "", "comp", "decomp", "comp", "decomp", "comp", "decomp",
+      "speedup");
   std::printf(
-      "-----------+-----------------------+-----------------------+-----------"
-      "+---------\n");
+      "-----------+-----------------------+-----------------------+----------"
+      "-------------+-----------+-----------\n");
 
   for (std::size_t n : sizes) {
     tensor::Rng grad_rng(kSeed ^ n);
@@ -80,18 +137,25 @@ int main(int argc, char** argv) {
     Row row;
     row.elems = n;
     row.payloads_identical = payloads_match(*fused, *unfused, grad, kSeed);
-    row.fused = perf::measure_host_throughput(*fused, grad, kSeed, 12);
-    row.unfused = perf::measure_host_throughput(*unfused, grad, kSeed, 12);
+    row.recon_identical = reconstruction_matches(*fused, grad, kSeed);
+    row.fused = perf::measure_host_throughput(*fused, grad, kSeed, reps);
+    row.unfused = perf::measure_host_throughput(*unfused, grad, kSeed, reps);
+    row.ef = perf::measure_host_throughput(*ef, grad, kSeed, reps);
     rows.push_back(row);
 
     const double speedup =
         roundtrip_bytes_per_s(row.fused) / roundtrip_bytes_per_s(row.unfused);
-    std::printf("%10zu | %10.3f %10.3f | %10.3f %10.3f | %8.2fx | %s\n", n,
-                gbps(row.fused.compress_bytes_per_s),
-                gbps(row.fused.decompress_bytes_per_s),
-                gbps(row.unfused.compress_bytes_per_s),
-                gbps(row.unfused.decompress_bytes_per_s), speedup,
-                row.payloads_identical ? "identical" : "MISMATCH");
+    std::printf(
+        "%10zu | %10.3f %10.3f | %10.3f %10.3f | %10.3f %10.3f | %8.2fx | "
+        "%s\n",
+        n, gbps(row.fused.compress_bytes_per_s),
+        gbps(row.fused.decompress_bytes_per_s),
+        gbps(row.unfused.compress_bytes_per_s),
+        gbps(row.unfused.decompress_bytes_per_s),
+        gbps(row.ef.compress_bytes_per_s), gbps(row.ef.decompress_bytes_per_s),
+        speedup,
+        row.payloads_identical && row.recon_identical ? "identical"
+                                                      : "MISMATCH");
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -100,40 +164,44 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_compressor_throughput\",\n");
+  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_fingerprint_json().c_str());
   std::fprintf(f, "  \"units\": \"GB/s of FP32 gradient input\",\n");
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    std::fprintf(f, "    {\"elements\": %zu, \"input_bytes\": %zu,\n", r.elems,
+                 r.fused.input_bytes);
+    write_throughput(f, "fused", r.fused, ",");
+    write_throughput(f, "unfused", r.unfused, ",");
+    write_throughput(f, "ef_compso", r.ef, ",");
     std::fprintf(
         f,
-        "    {\"elements\": %zu, \"input_bytes\": %zu,\n"
-        "     \"fused\": {\"compress_gbps\": %.4f, \"decompress_gbps\": %.4f,"
-        " \"roundtrip_gbps\": %.4f, \"ratio\": %.3f},\n"
-        "     \"unfused\": {\"compress_gbps\": %.4f, \"decompress_gbps\":"
-        " %.4f, \"roundtrip_gbps\": %.4f, \"ratio\": %.3f},\n"
-        "     \"roundtrip_speedup\": %.3f, \"payloads_identical\": %s}%s\n",
-        r.elems, r.fused.input_bytes, gbps(r.fused.compress_bytes_per_s),
-        gbps(r.fused.decompress_bytes_per_s),
-        gbps(roundtrip_bytes_per_s(r.fused)), r.fused.compression_ratio,
-        gbps(r.unfused.compress_bytes_per_s),
-        gbps(r.unfused.decompress_bytes_per_s),
-        gbps(roundtrip_bytes_per_s(r.unfused)), r.unfused.compression_ratio,
+        "     \"roundtrip_speedup\": %.3f, \"payloads_identical\": %s,"
+        " \"recon_identical\": %s}%s\n",
         roundtrip_bytes_per_s(r.fused) / roundtrip_bytes_per_s(r.unfused),
         r.payloads_identical ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
+        r.recon_identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
 
-  // Self-check: payload identity must hold at every size (the fused
-  // kernel is only a win if it is also exactly the same compressor).
+  // Self-check: the fused kernel is only a win if it is also exactly the
+  // same compressor, and error feedback is only exact if the decode-free
+  // reconstruction is exactly what the payload decodes to.
+  int status = 0;
   for (const Row& r : rows) {
     if (!r.payloads_identical) {
       std::fprintf(stderr, "FAIL: payload mismatch at %zu elements\n",
                    r.elems);
-      return 1;
+      status = 1;
+    }
+    if (!r.recon_identical) {
+      std::fprintf(stderr, "FAIL: reconstruction != decode at %zu elements\n",
+                   r.elems);
+      status = 1;
     }
   }
-  return 0;
+  return status;
 }

@@ -10,7 +10,11 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x414E5331;  // "ANS1"
 constexpr std::uint8_t kModeStored = 0;
-constexpr std::uint8_t kModeCoded = 1;
+/// Coded block with four interleaved lane states. Mode 1 was the
+/// single-state layout; it is rejected as an unknown mode.
+constexpr std::uint8_t kModeInterleaved = 2;
+constexpr std::size_t kTableBytes = 512;     // 256 u16 frequencies
+constexpr std::size_t kStateBytes = 4 * 4;   // four u32 lane states
 constexpr unsigned kProbBits = 12;            // frequencies sum to 4096
 constexpr std::uint32_t kProbScale = 1U << kProbBits;
 constexpr std::uint32_t kRansLowerBound = 1U << 23;
@@ -137,23 +141,22 @@ void rans_encode_into(ByteView input, Bytes& out) {
   // rANS encodes in reverse so the decoder emits in forward order. The
   // back-to-front buffer is inherent to the algorithm; reuse it across
   // calls so steady-state encodes stop allocating. Sized for the worst
-  // case (12 bits per symbol plus the flushed state) so the hot loop can
-  // write through a raw pointer with no capacity checks.
+  // case (12 bits per symbol plus each lane's flush slack) so the hot loop
+  // can write through a raw pointer with no capacity checks.
+  const std::size_t n = input.size();
   thread_local Bytes payload;
-  if (payload.size() < input.size() + (input.size() >> 1) + 16) {
-    payload.resize(input.size() + (input.size() >> 1) + 16);
-  }
+  if (payload.size() < n + (n >> 1) + 16) payload.resize(n + (n >> 1) + 16);
   std::uint8_t* pp = payload.data();
   std::size_t pn = 0;
-  std::uint32_t state = kRansLowerBound;
-  for (std::size_t i = input.size(); i-- > 0;) {
-    const EncSym& e = syms[input[i]];
-    // Renormalize: push bytes until state fits the encode range for f.
-    // state < 2^31 and x_max >= 2^19, so 0, 1, or 2 bytes — done
-    // branch-free: write both candidate bytes unconditionally (the buffer
-    // has slack; unconsumed slots are overwritten by later symbols) and
-    // advance by the exact count. The emitted byte sequence is identical
-    // to the push-while-loop form, minus its data-dependent mispredicts.
+  // One symbol into one lane. Renormalize: push bytes until the state fits
+  // the encode range for f. state < 2^31 and x_max >= 2^19, so 0, 1, or 2
+  // bytes — done branch-free: write both candidate bytes unconditionally
+  // (the buffer has slack; unconsumed slots are overwritten by later
+  // symbols) and advance by the exact count. The emitted byte sequence is
+  // identical to the push-while-loop form, minus its data-dependent
+  // mispredicts.
+  const auto put = [&syms, pp, &pn](std::uint32_t& state, std::uint8_t sym) {
+    const EncSym& e = syms[sym];
     std::uint32_t x = state;
     const unsigned c1 = x >= e.x_max;
     const unsigned c2 =
@@ -166,21 +169,47 @@ void rans_encode_into(ByteView input, Bytes& out) {
     const auto q = static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(x) * e.rcp) >> 32) >> e.shift;
     state = x + e.bias + q * e.cmpl_freq;
+  };
+  // Symbol i rides lane i & 3, and the four lane states stay in registers:
+  // their state chains are independent, so four symbols are in flight per
+  // iteration where one state chain would serialize on its own latency
+  // (nvCOMP's interleaved-state ANS, paper §4.5). The lanes share one
+  // byte stream; the decoder pulls in exactly the reverse order.
+  std::uint32_t s0 = kRansLowerBound;
+  std::uint32_t s1 = kRansLowerBound;
+  std::uint32_t s2 = kRansLowerBound;
+  std::uint32_t s3 = kRansLowerBound;
+  const std::uint8_t* in = input.data();
+  const std::size_t full = n & ~std::size_t{3};
+  for (std::size_t i = n; i-- > full;) {  // the partial last group
+    switch (i & 3) {
+      case 0: put(s0, in[i]); break;
+      case 1: put(s1, in[i]); break;
+      default: put(s2, in[i]); break;
+    }
   }
-  if (pn + 512 + 4 >= input.size()) {
+  for (std::size_t i = full; i > 0; i -= 4) {
+    put(s3, in[i - 1]);
+    put(s2, in[i - 2]);
+    put(s1, in[i - 3]);
+    put(s0, in[i - 4]);
+  }
+  // Coded must beat stored (mode byte + raw input) including the table
+  // and the lane-state block, so the stored frame bounds every output.
+  if (pn + kTableBytes + kStateBytes >= n) {
     out.push_back(kModeStored);
     out.insert(out.end(), input.begin(), input.end());
     detail::seal_frame_at(out, frame_begin);
     return;
   }
-  out.push_back(kModeCoded);
-  out.reserve(out.size() + 512 + 4 + pn);
+  out.push_back(kModeInterleaved);
+  out.reserve(out.size() + kTableBytes + kStateBytes + pn);
   for (int s = 0; s < 256; ++s) {
     const std::uint32_t f = freq[static_cast<std::size_t>(s)];
     out.push_back(static_cast<std::uint8_t>(f & 0xFF));
     out.push_back(static_cast<std::uint8_t>((f >> 8) & 0xFF));
   }
-  detail::append_u32(out, state);
+  for (const std::uint32_t s : {s0, s1, s2, s3}) detail::append_u32(out, s);
   // Payload was produced back-to-front; store reversed so decode reads
   // forward with push-back semantics preserved.
   out.insert(out.end(), std::make_reverse_iterator(pp + pn),
@@ -205,67 +234,24 @@ struct DecSlot {
   std::uint16_t offset;  ///< slot - cum[sym], in [0, freq).
 };
 
-/// In-flight state of one coded stream: everything the per-symbol decode
-/// step touches, laid out for register promotion when two streams are
-/// software-interleaved.
-struct DecCtx {
-  const DecSlot* slots;
-  const std::uint8_t* stream;
-  std::size_t stream_size;
-  std::size_t safe_pos;
-  std::size_t pos;
-  std::uint32_t state;
-  std::uint8_t* dst;
-  std::uint64_t size;
-};
+}  // namespace
 
-/// One decoded symbol. Away from the stream's tail, renormalization (0,
-/// 1, or 2 byte pulls for a 12-bit scale) runs branch-free: both
-/// candidate bytes are read up front and the exact count is folded into
-/// shifts. Bytes consumed and states visited are identical to the
-/// pull-while-loop form, which still runs the last two stream bytes
-/// (where the speculative 2-byte read would walk off the buffer, and
-/// where underrun is detected).
-inline void dec_step(DecCtx& c, std::uint64_t i) {
-  const DecSlot& d = c.slots[c.state & (kProbScale - 1)];
-  c.dst[i] = d.sym;
-  c.state =
-      static_cast<std::uint32_t>(d.freq) * (c.state >> kProbBits) + d.offset;
-  if (c.pos <= c.safe_pos) {
-    const unsigned c1 = c.state < kRansLowerBound;
-    const unsigned c2 = c.state < (kRansLowerBound >> 8);
-    const unsigned cnt = c1 + c2;
-    const std::uint32_t b01 =
-        (static_cast<std::uint32_t>(c.stream[c.pos]) << 8) |
-        c.stream[c.pos + 1];
-    c.state = (c.state << (8 * cnt)) | (b01 >> (8 * (2 - cnt)));
-    c.pos += cnt;
-  } else {
-    while (c.state < kRansLowerBound) {
-      if (c.pos >= c.stream_size) throw PayloadError("rans: stream underrun");
-      c.state = (c.state << 8) | c.stream[c.pos++];
-    }
-  }
-}
-
-/// Header/table parse and slot-table build for one stream. Returns false
-/// when the stream was fully handled here (stored mode); true when `ctx`
-/// is primed for dec_step over `ctx.size` symbols (out is pre-resized).
-bool dec_init(ByteView input, Bytes& out, std::vector<DecSlot>& slots,
-              DecCtx& ctx) {
+void rans_decode_into(ByteView input, Bytes& out) {
   const std::uint64_t size = detail::read_header(input, kMagic);
   if (input.size() < detail::kHeaderSize + 1) {
     throw PayloadError("rans: truncated stream");
   }
   const std::uint8_t mode = input[detail::kHeaderSize];
-  ByteView body = input.subspan(detail::kHeaderSize + 1);
+  const ByteView body = input.subspan(detail::kHeaderSize + 1);
   if (mode == kModeStored) {
     if (body.size() < size) throw PayloadError("rans: truncated stored block");
     out.assign(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(size));
-    return false;
+    return;
   }
-  if (mode != kModeCoded) throw PayloadError("rans: unknown block mode");
-  if (body.size() < 512 + 4) throw PayloadError("rans: missing table");
+  if (mode != kModeInterleaved) throw PayloadError("rans: unknown block mode");
+  if (body.size() < kTableBytes + kStateBytes) {
+    throw PayloadError("rans: missing table");
+  }
   // A coded symbol consumes at least log2(4096/4095) bits, so legitimate
   // streams never expand past ~2842x; reject bigger claims before the
   // output allocation.
@@ -293,6 +279,7 @@ bool dec_init(ByteView input, Bytes& out, std::vector<DecSlot>& slots,
   }
   // The table is rebuilt per stream (the freq table rides in the frame)
   // but the backing store is steady-state: one thread-local allocation.
+  thread_local std::vector<DecSlot> slots;
   slots.resize(kProbScale);
   for (int s = 0; s < 256; ++s) {
     const auto f =
@@ -302,56 +289,77 @@ bool dec_init(ByteView input, Bytes& out, std::vector<DecSlot>& slots,
       slots[base + i] = {static_cast<std::uint8_t>(s), f, i};
     }
   }
+  std::uint32_t s0 = detail::read_u32(body, kTableBytes);
+  std::uint32_t s1 = detail::read_u32(body, kTableBytes + 4);
+  std::uint32_t s2 = detail::read_u32(body, kTableBytes + 8);
+  std::uint32_t s3 = detail::read_u32(body, kTableBytes + 12);
   out.resize(size);
-  ctx.slots = slots.data();
-  ctx.stream = body.data();
-  ctx.stream_size = body.size();
-  ctx.safe_pos = body.size() >= 2 ? body.size() - 2 : 0;
-  ctx.pos = 512 + 4;
-  ctx.state = detail::read_u32(body, 512);
-  ctx.dst = out.data();
-  ctx.size = size;
-  return true;
-}
 
-}  // namespace
-
-void rans_decode_into(ByteView input, Bytes& out) {
-  thread_local std::vector<DecSlot> slots;
-  DecCtx c;
-  if (!dec_init(input, out, slots, c)) return;
-  for (std::uint64_t i = 0; i < c.size; ++i) dec_step(c, i);
-}
-
-void rans_decode_pair_into(ByteView input_a, Bytes& out_a, ByteView input_b,
-                           Bytes& out_b) {
-  // Two independent rANS streams decoded in one software-interleaved
-  // loop: each stream's state -> slot -> multiply chain is the decode
-  // bottleneck (latency-bound, ~10 cycles per symbol), and the two
-  // chains share no data, so alternating them nearly doubles ILP over
-  // the common prefix. Symbol-by-symbol results, consumed bytes, and
-  // error behavior per stream are identical to two sequential decodes.
-  thread_local std::vector<DecSlot> slots_a;
-  thread_local std::vector<DecSlot> slots_b;
-  DecCtx a;
-  DecCtx b;
-  const bool coded_a = dec_init(input_a, out_a, slots_a, a);
-  const bool coded_b = dec_init(input_b, out_b, slots_b, b);
-  if (coded_a && coded_b) {
-    const std::uint64_t n = std::min(a.size, b.size);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      dec_step(a, i);
-      dec_step(b, i);
+  const DecSlot* const tab = slots.data();
+  const std::uint8_t* const stream = body.data();
+  const std::size_t stream_size = body.size();
+  std::size_t pos = kTableBytes + kStateBytes;
+  std::uint8_t* const dst = out.data();
+  // One decoded symbol from one lane. Renormalization (0, 1, or 2 byte
+  // pulls for a 12-bit scale) runs branch-free: both candidate bytes are
+  // read up front and the exact count is folded into shifts. Bytes
+  // consumed and states visited are identical to the pull-while-loop
+  // form; callers guarantee pos + 1 < stream_size.
+  const auto get_fast = [tab, stream, dst, &pos](std::uint32_t& x,
+                                                 std::uint64_t i) {
+    const DecSlot& d = tab[x & (kProbScale - 1)];
+    dst[i] = d.sym;
+    x = static_cast<std::uint32_t>(d.freq) * (x >> kProbBits) + d.offset;
+    const unsigned c1 = x < kRansLowerBound;
+    const unsigned c2 = x < (kRansLowerBound >> 8);
+    const unsigned cnt = c1 + c2;
+    const std::uint32_t b01 =
+        (static_cast<std::uint32_t>(stream[pos]) << 8) | stream[pos + 1];
+    x = (x << (8 * cnt)) | (b01 >> (8 * (2 - cnt)));
+    pos += cnt;
+  };
+  // The same step with the pull-while-loop, bounds-checked per byte: runs
+  // the stream's tail, where the speculative 2-byte read would walk off
+  // the buffer and where underrun is detected.
+  const auto get_checked = [tab, stream, stream_size, dst, &pos](
+                               std::uint32_t& x, std::uint64_t i) {
+    const DecSlot& d = tab[x & (kProbScale - 1)];
+    dst[i] = d.sym;
+    x = static_cast<std::uint32_t>(d.freq) * (x >> kProbBits) + d.offset;
+    while (x < kRansLowerBound) {
+      if (pos >= stream_size) throw PayloadError("rans: stream underrun");
+      x = (x << 8) | stream[pos++];
     }
-    for (std::uint64_t i = n; i < a.size; ++i) dec_step(a, i);
-    for (std::uint64_t i = n; i < b.size; ++i) dec_step(b, i);
-    return;
+  };
+  // Symbol i decodes from lane i & 3: four independent state -> slot ->
+  // multiply chains in flight per iteration. A group pulls at most 8
+  // bytes, so the fast form is safe while 8 remain.
+  const std::uint64_t full = size & ~std::uint64_t{3};
+  std::uint64_t i = 0;
+  for (; i < full && pos + 8 <= stream_size; i += 4) {
+    get_fast(s0, i);
+    get_fast(s1, i + 1);
+    get_fast(s2, i + 2);
+    get_fast(s3, i + 3);
   }
-  if (coded_a) {
-    for (std::uint64_t i = 0; i < a.size; ++i) dec_step(a, i);
+  for (; i < full; i += 4) {
+    get_checked(s0, i);
+    get_checked(s1, i + 1);
+    get_checked(s2, i + 2);
+    get_checked(s3, i + 3);
   }
-  if (coded_b) {
-    for (std::uint64_t i = 0; i < b.size; ++i) dec_step(b, i);
+  for (; i < size; ++i) {  // the partial last group
+    switch (i & 3) {
+      case 0: get_checked(s0, i); break;
+      case 1: get_checked(s1, i); break;
+      default: get_checked(s2, i); break;
+    }
+  }
+  // Decoding undoes every encode step, so a sound stream ends with each
+  // lane back at the encoder's initial state and every byte consumed.
+  if (pos != stream_size || s0 != kRansLowerBound || s1 != kRansLowerBound ||
+      s2 != kRansLowerBound || s3 != kRansLowerBound) {
+    throw PayloadError("rans: stream does not end at the initial states");
   }
 }
 
@@ -373,10 +381,6 @@ class AnsCodec final : public Codec {
   }
   void decode_into(ByteView input, Bytes& out) const override {
     rans_decode_into(input, out);
-  }
-  void decode_pair_into(ByteView input_a, Bytes& out_a, ByteView input_b,
-                        Bytes& out_b) const override {
-    rans_decode_pair_into(input_a, out_a, input_b, out_b);
   }
   CodecCostProfile cost_profile() const noexcept override {
     // Two streaming passes (histogram + code), fully block-parallel on GPU

@@ -9,7 +9,10 @@
 namespace compso::codec {
 
 /// Standalone rANS entropy stage (also reused by the Zstd-like codec).
-/// Self-delimiting; falls back to a stored block on expansion.
+/// Self-delimiting; falls back to a stored block on expansion. Coded
+/// blocks carry four interleaved lane states (symbol i uses lane i & 3)
+/// over one shared byte stream: [mode | 256 x u16 freq | 4 x u32 state |
+/// stream].
 Bytes rans_encode(ByteView input);
 Bytes rans_decode(ByteView input);
 /// Appends the (identical) encoded stream to `out` without a temporary.
@@ -17,12 +20,6 @@ void rans_encode_into(ByteView input, Bytes& out);
 /// Replaces `out` with the decoded stream (same bytes as rans_decode),
 /// reusing its capacity across calls.
 void rans_decode_into(ByteView input, Bytes& out);
-/// Decodes two independent streams in one software-interleaved loop —
-/// two state chains in flight hide the per-symbol latency that bounds a
-/// single rANS decode. Outputs/errors match two sequential decodes; the
-/// two output buffers must be distinct.
-void rans_decode_pair_into(ByteView input_a, Bytes& out_a, ByteView input_b,
-                           Bytes& out_b);
 
 std::unique_ptr<Codec> make_ans_codec();
 

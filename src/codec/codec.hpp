@@ -60,17 +60,6 @@ class Codec {
   virtual void decode_into(ByteView input, Bytes& out) const {
     out = decode(input);
   }
-
-  /// Decodes two independent streams (identical results to two
-  /// decode_into calls; `out_a` and `out_b` must be distinct buffers).
-  /// Codecs whose decode is a latency-bound serial chain override this
-  /// to interleave the two streams and recover ILP. Must be
-  /// const-thread-safe.
-  virtual void decode_pair_into(ByteView input_a, Bytes& out_a,
-                                ByteView input_b, Bytes& out_b) const {
-    decode_into(input_a, out_a);
-    decode_into(input_b, out_b);
-  }
 };
 
 /// The nvCOMP-parallel codec set of Table 2.

@@ -67,6 +67,19 @@ class GradientCompressor {
     out = decompress(payload);
   }
 
+  /// compress_into plus the values its payload decodes to: `recon` ends
+  /// up bit-identical to decompress_into(out), and the call throws the
+  /// PayloadError that decompress_into would throw on `out`. Error
+  /// feedback needs both halves. The default runs the two calls; COMPSO
+  /// overrides it to write `recon` from its quantizer state, with no
+  /// decode.
+  virtual void compress_reconstruct_into(std::span<const float> values,
+                                         tensor::Rng& rng, Bytes& out,
+                                         std::vector<float>& recon) const {
+    compress_into(values, rng, out);
+    decompress_into(out, recon);
+  }
+
   /// GPU execution shape (see GpuProfile).
   virtual GpuProfile gpu_profile() const noexcept = 0;
 
@@ -193,7 +206,8 @@ std::unique_ptr<GradientCompressor> make_topk(double keep_fraction);
 std::unique_ptr<GradientCompressor> make_identity();
 
 /// Error-feedback wrapper over any compressor (DESIGN.md §17): sends
-/// C(g + e), keeps e' = (g + e) - decode(C(g + e)) per stream. The
+/// C(g + e), keeps e' = (g + e) - Ĉ(g + e) per stream, with Ĉ from
+/// compress_reconstruct_into. The
 /// concrete class lives in error_feedback.hpp; this factory builds it
 /// from any inner compressor (including COMPSO itself).
 std::unique_ptr<GradientCompressor> make_error_feedback(

@@ -65,18 +65,28 @@ struct DecodedHeader {
   bool filtered = false;
 };
 
+/// The header checks on fields the encoder chooses itself; compress-side
+/// reconstruction runs them too, so it throws what decode would.
+void check_count(std::uint64_t count) {
+  if (count > codec::wire::kMaxElementCount) {
+    throw PayloadError("COMPSO: element count out of range");
+  }
+}
+
+void check_step(double step) {
+  if (!std::isfinite(step)) {
+    throw PayloadError("COMPSO: non-finite quantization step");
+  }
+}
+
 DecodedHeader decode_fixed_header(ByteView payload, codec::wire::Reader& r) {
   namespace wire = codec::wire;
   const wire::PayloadHeader header = wire::read_payload_header(payload, kMagic);
-  if (header.count > wire::kMaxElementCount) {
-    throw PayloadError("COMPSO: element count out of range");
-  }
+  check_count(header.count);
   DecodedHeader h;
   h.count = static_cast<std::size_t>(header.count);
   h.step = r.f64();
-  if (!std::isfinite(h.step)) {
-    throw PayloadError("COMPSO: non-finite quantization step");
-  }
+  check_step(h.step);
   h.bit_width = r.u8();
   if (h.bit_width == 0 || h.bit_width > 64) {
     throw PayloadError("COMPSO: bit width out of range");
@@ -111,42 +121,19 @@ class CompsoCompressor final : public GradientCompressor {
 
   void compress_into(std::span<const float> values, tensor::Rng& rng,
                      Bytes& out) const override {
-    const std::size_t n = values.size();
-    const double abs_max = quant::extrema_blockwise(values).abs_max;
-    quant::FusedScratch& scratch = tls_scratch();
+    encode(values, rng, out);
+  }
 
-    const quant::FusedEncodeInfo info = quant::fused_filter_quantize(
-        values, params_.filter_bound, params_.quant_bound, params_.use_filter,
-        abs_max, quant::RoundingMode::kStochastic, rng, scratch);
-    quant::pack_scratch_codes(info, scratch);
-
-    // Exact upper bound on the payload: fixed fields plus one codec frame
-    // per blob, each at most header + mode byte + raw input (the stored
-    // fallback; coded frames are smaller by construction).
-    constexpr std::size_t kFrameOverhead = codec::detail::kHeaderSize + 1;
-    out.clear();
-    out.reserve(codec::wire::kHeaderSize + 10 +
-                (info.filtered
-                     ? 16 + kFrameOverhead + scratch.bitmap.size()
-                     : 0) +
-                kFrameOverhead + scratch.packed.size());
-
-    codec::wire::begin_payload(out, kMagic, n);
-    append_f64(out, info.step);
-    out.push_back(static_cast<std::uint8_t>(info.bit_width));
-    out.push_back(info.filtered ? 1 : 0);
-    if (info.filtered) {
-      codec::detail::append_u64(out, info.survivors);
-      // The bitmap blob is emitted straight into the payload; its size is
-      // only known afterwards, so patch the placeholder.
-      const std::size_t size_pos = out.size();
-      codec::detail::append_u64(out, 0);
-      const std::size_t blob_begin = out.size();
-      codec_->encode_into(scratch.bitmap, out);
-      write_u64_at(out, size_pos, out.size() - blob_begin);
-    }
-    codec_->encode_into(scratch.packed, out);
-    codec::wire::seal_payload(out);
+  /// Error feedback's Ĉ(g + e) without a decode: the fused pass's codes,
+  /// bitmap and step already determine what the payload decodes to.
+  void compress_reconstruct_into(std::span<const float> values,
+                                 tensor::Rng& rng, Bytes& out,
+                                 std::vector<float>& recon) const override {
+    const quant::FusedEncodeInfo info = encode(values, rng, out);
+    check_count(values.size());
+    check_step(info.step);
+    recon.resize(values.size());
+    quant::fused_reconstruct(info, tls_scratch(), recon);
   }
 
   std::size_t max_payload_bytes(std::size_t values) const noexcept override {
@@ -194,11 +181,7 @@ class CompsoCompressor final : public GradientCompressor {
       survivor_count = r.bounded_u64(h.count, "survivor_count");
       const std::uint64_t bitmap_blob_size = r.u64();
       const ByteView bitmap_blob = r.blob(bitmap_blob_size);
-      // The bitmap and packed-code blobs are independent streams, so they
-      // decode in one interleaved pass (two rANS state chains in flight
-      // hide the per-symbol latency). Results and the validation below
-      // are identical to two sequential decodes.
-      codec_->decode_pair_into(bitmap_blob, bitmap, r.rest(), packed);
+      codec_->decode_into(bitmap_blob, bitmap);
       if (bitmap.size() != (h.count + 7) / 8) {
         throw PayloadError("COMPSO: bitmap size mismatch");
       }
@@ -209,9 +192,8 @@ class CompsoCompressor final : public GradientCompressor {
       if (unfiltered != survivor_count) {
         throw PayloadError("COMPSO: bitmap disagrees with survivor count");
       }
-    } else {
-      codec_->decode_into(r.rest(), packed);
     }
+    codec_->decode_into(r.rest(), packed);
     // pack_codes emits exactly ceil(n * width / 8) bytes; anything else
     // means a corrupted stream (survivor_count <= 2^32 and width <= 64, so
     // the product cannot overflow).
@@ -242,6 +224,49 @@ class CompsoCompressor final : public GradientCompressor {
   }
 
  private:
+  /// The fused compress pipeline; leaves the pass's codes and bitmap in
+  /// this thread's scratch for compress_reconstruct_into.
+  quant::FusedEncodeInfo encode(std::span<const float> values,
+                                tensor::Rng& rng, Bytes& out) const {
+    const std::size_t n = values.size();
+    const double abs_max = quant::extrema_blockwise(values).abs_max;
+    quant::FusedScratch& scratch = tls_scratch();
+
+    const quant::FusedEncodeInfo info = quant::fused_filter_quantize(
+        values, params_.filter_bound, params_.quant_bound, params_.use_filter,
+        abs_max, quant::RoundingMode::kStochastic, rng, scratch);
+    quant::pack_scratch_codes(info, scratch);
+
+    // Exact upper bound on the payload: fixed fields plus one codec frame
+    // per blob, each at most header + mode byte + raw input (the stored
+    // fallback; coded frames are smaller by construction).
+    constexpr std::size_t kFrameOverhead = codec::detail::kHeaderSize + 1;
+    out.clear();
+    out.reserve(codec::wire::kHeaderSize + 10 +
+                (info.filtered
+                     ? 16 + kFrameOverhead + scratch.bitmap.size()
+                     : 0) +
+                kFrameOverhead + scratch.packed.size());
+
+    codec::wire::begin_payload(out, kMagic, n);
+    append_f64(out, info.step);
+    out.push_back(static_cast<std::uint8_t>(info.bit_width));
+    out.push_back(info.filtered ? 1 : 0);
+    if (info.filtered) {
+      codec::detail::append_u64(out, info.survivors);
+      // The bitmap blob is emitted straight into the payload; its size is
+      // only known afterwards, so patch the placeholder.
+      const std::size_t size_pos = out.size();
+      codec::detail::append_u64(out, 0);
+      const std::size_t blob_begin = out.size();
+      codec_->encode_into(scratch.bitmap, out);
+      write_u64_at(out, size_pos, out.size() - blob_begin);
+    }
+    codec_->encode_into(scratch.packed, out);
+    codec::wire::seal_payload(out);
+    return info;
+  }
+
   static quant::FusedScratch& tls_scratch() {
     // One scratch per thread, shared by every fused compressor instance:
     // compress_into is a single-threaded critical path per call, and the

@@ -74,10 +74,10 @@ void ErrorFeedbackCompressor::compress_stream_into(
   for (std::size_t i = 0; i < values.size(); ++i) {
     compensated[i] = values[i] + st->residual[i];
   }
-  inner_->compress_into(compensated, rng, out);
-
+  // Ĉ(g + e) comes with the payload: COMPSO writes it from its quantizer
+  // state instead of decoding the bytes it just encoded.
   thread_local std::vector<float> decoded;
-  inner_->decompress_into(out, decoded);
+  inner_->compress_reconstruct_into(compensated, rng, out, decoded);
   if (decoded.size() != compensated.size()) {
     throw PayloadError(
         "error-feedback: inner compressor round-trip changed element count");

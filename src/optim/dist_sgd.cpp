@@ -20,15 +20,41 @@ void flat_gradient_into(nn::Layer& layer, std::vector<float>& out) {
             out.begin() + static_cast<std::ptrdiff_t>(wg->size()));
 }
 
-void apply_flat_update(nn::Layer& layer, std::span<const float> update,
-                       double lr) {
-  auto* w = layer.weight();
-  auto* b = layer.bias();
-  for (std::size_t i = 0; i < w->size(); ++i) {
-    (*w)[i] -= static_cast<float>(lr) * update[i];
+/// Elements per range of the exchange tail's engine batches: a range's
+/// decode buffers, average and velocity stay cache-resident, and a range
+/// is enough work to amortize one engine job.
+constexpr std::size_t kTailRangeElems = 32 * 1024;
+
+/// Runs fn(lo, hi) over [0, n) in fixed kTailRangeElems ranges as one
+/// engine batch (inline when one range covers n). Ranges depend on n
+/// alone and every element is written by exactly one range, so the
+/// result is bit-identical at any engine thread count.
+template <typename Fn>
+void for_each_range(compress::CompressionEngine& eng, std::size_t n,
+                    const Fn& fn) {
+  if (n <= kTailRangeElems) {
+    fn(std::size_t{0}, n);
+    return;
   }
-  for (std::size_t i = 0; i < b->size(); ++i) {
-    (*b)[i] -= static_cast<float>(lr) * update[w->size() + i];
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve((n + kTailRangeElems - 1) / kTailRangeElems);
+  for (std::size_t lo = 0; lo < n; lo += kTailRangeElems) {
+    const std::size_t hi = std::min(n, lo + kTailRangeElems);
+    jobs.push_back([&fn, lo, hi] { fn(lo, hi); });
+  }
+  eng.run_batch(std::move(jobs));
+}
+
+/// The [lo, hi) part of the SGD update W|b -= lr * update[i].
+void apply_flat_update(nn::Layer& layer, std::span<const float> update,
+                       double lr, std::size_t lo, std::size_t hi) {
+  const std::span<float> w = layer.weight()->span();
+  const std::span<float> b = layer.bias()->span();
+  for (std::size_t i = lo; i < std::min(hi, w.size()); ++i) {
+    w[i] -= static_cast<float>(lr) * update[i];
+  }
+  for (std::size_t i = std::max(lo, w.size()); i < hi; ++i) {
+    b[i - w.size()] -= static_cast<float>(lr) * update[i];
   }
 }
 
@@ -79,6 +105,24 @@ DistSgd::DistSgd(DistSgdConfig config, comm::Communicator& comm,
                    std::vector<std::vector<float>>(layer_indices_.size()));
   degraded_.assign(layer_indices_.size(), 0);
   consecutive_failures_.assign(layer_indices_.size(), 0);
+}
+
+void DistSgd::average_decoded(std::size_t n, std::vector<float>& averaged) {
+  std::vector<const float*> recs;
+  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
+    if (comm_.is_participating(r)) recs.push_back(decode_bufs_[r].data());
+  }
+  const auto active = static_cast<float>(recs.size());
+  averaged.resize(n);
+  // Per element: start from 0, add every participant's value / active in
+  // rank order — the float sum is the same whatever the range split.
+  for_each_range(engine(), n, [&](std::size_t lo, std::size_t hi) {
+    std::fill(averaged.begin() + static_cast<std::ptrdiff_t>(lo),
+              averaged.begin() + static_cast<std::ptrdiff_t>(hi), 0.0F);
+    for (const float* rec : recs) {
+      for (std::size_t i = lo; i < hi; ++i) averaged[i] += rec[i] / active;
+    }
+  });
 }
 
 bool DistSgd::chunked_average(
@@ -192,14 +236,7 @@ bool DistSgd::chunked_average(
     }
     return false;
   }
-  averaged.assign(n, 0.0F);
-  for (std::size_t r = 0; r < world; ++r) {
-    if (!comm_.is_participating(r)) continue;
-    const auto& rec = decode_bufs_[r];
-    for (std::size_t i = 0; i < n; ++i) {
-      averaged[i] += rec[i] / static_cast<float>(active);
-    }
-  }
+  average_decoded(n, averaged);
   consecutive_failures_[slot] = 0;
   return true;
 }
@@ -246,14 +283,7 @@ bool DistSgd::compressed_average(
         });
       }
       engine().run_batch(std::move(jobs));
-      averaged.assign(n, 0.0F);
-      for (std::size_t r = 0; r < world; ++r) {
-        if (!comm_.is_participating(r)) continue;
-        const auto& rec = decode_bufs_[r];
-        for (std::size_t i = 0; i < n; ++i) {
-          averaged[i] += rec[i] / static_cast<float>(active);
-        }
-      }
+      average_decoded(n, averaged);
       consecutive_failures_[slot] = 0;
       return true;
     } catch (const PayloadError&) {
@@ -390,31 +420,32 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
         comp_ids.push_back(graph_.add_compute(
             "grad_compress" + std::to_string(s), static_cast<int>(s),
             [this, compressor, step_seed, s, r, n, world] {
-              tensor::Rng task_rng = compress::CompressionEngine::task_rng(
-                  step_seed, static_cast<std::uint64_t>(s) * world + r);
-              auto& res = residual_[r][s];
+              // Stream id == task id: stateful compressors (EF wrapper,
+              // sketch seed counters) key cross-step state by it, so it
+              // must be fixed by (slot, rank) alone (DESIGN.md §17).
+              const auto stream = static_cast<std::uint64_t>(s) * world + r;
+              tensor::Rng task_rng =
+                  compress::CompressionEngine::task_rng(step_seed, stream);
               const std::vector<float>& grad = step_grads_[s][r];
               // Compress once (with optional error feedback); retries
               // re-send these exact payloads, so the training trajectory
               // is identical to a fault-free run.
+              if (!cfg_.error_feedback) {
+                compressor->compress_stream_into(stream, grad, task_rng,
+                                                 send_payloads_[s][r]);
+                return;
+              }
+              auto& res = residual_[r][s];
               thread_local std::vector<float> to_send;
               thread_local std::vector<float> rec;
               to_send = grad;
-              if (cfg_.error_feedback) {
-                if (res.size() != n) res.assign(n, 0.0F);
-                for (std::size_t i = 0; i < n; ++i) to_send[i] += res[i];
-              }
-              // Stream id == task id: stateful compressors (EF wrapper,
-              // sketch seed counters) key cross-step state by it, so it
-              // must be fixed by (slot, rank) alone (DESIGN.md §17).
-              compressor->compress_stream_into(
-                  static_cast<std::uint64_t>(s) * world + r, to_send,
-                  task_rng, send_payloads_[s][r]);
-              if (cfg_.error_feedback) {
-                compressor->decompress_into(send_payloads_[s][r], rec);
-                for (std::size_t i = 0; i < n; ++i) {
-                  res[i] = to_send[i] - rec[i];
-                }
+              if (res.size() != n) res.assign(n, 0.0F);
+              for (std::size_t i = 0; i < n; ++i) to_send[i] += res[i];
+              compressor->compress_stream_into(stream, to_send, task_rng,
+                                               send_payloads_[s][r]);
+              compressor->decompress_into(send_payloads_[s][r], rec);
+              for (std::size_t i = 0; i < n; ++i) {
+                res[i] = to_send[i] - rec[i];
               }
             }));
       }
@@ -486,15 +517,22 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
 
           auto& vel = velocity_[s];
           if (vel.size() != n) vel.assign(n, 0.0F);
-          for (std::size_t i = 0; i < n; ++i) {
-            vel[i] = static_cast<float>(cfg_.momentum) * vel[i] + averaged[i];
-          }
+          std::vector<nn::Layer*> targets;
           for (std::size_t r = 0; r < world; ++r) {
-            if (!comm_.is_participating(r) && !comm_.is_rejoining(r)) {
-              continue;
+            if (comm_.is_participating(r) || comm_.is_rejoining(r)) {
+              targets.push_back(&replicas_[r]->layer(li));
             }
-            apply_flat_update(replicas_[r]->layer(li), vel, lr);
           }
+          // Momentum, then every replica's update, per element range.
+          for_each_range(engine(), n, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              vel[i] =
+                  static_cast<float>(cfg_.momentum) * vel[i] + averaged[i];
+            }
+            for (nn::Layer* layer : targets) {
+              apply_flat_update(*layer, vel, lr, lo, hi);
+            }
+          });
         },
         /*is_comm=*/true);
     for (const auto c : comp_ids) graph_.depends(exch, c);

@@ -124,6 +124,11 @@ class DistSgd {
                           const compress::GradientCompressor& compressor,
                           std::vector<float>& averaged);
 
+  /// averaged[i] = sum over participants r, in rank order, of
+  /// decode_bufs_[r][i] / active: one engine batch over fixed element
+  /// ranges, bit-identical at any engine thread count.
+  void average_decoded(std::size_t n, std::vector<float>& averaged);
+
   /// The chunked-transport exchange (DESIGN.md §15): frames each rank's
   /// payload (engine batch), ships per-round chunk collectives with
   /// per-round bounded retries, reassembles on the cursors, and decodes.

@@ -378,6 +378,48 @@ inline float dequant_one(std::uint64_t zz, double step) noexcept {
   return static_cast<float>(static_cast<double>(zigzag_decode(zz)) * step);
 }
 
+/// Writes `out` through the filter bitmap: filtered positions become 0,
+/// survivors take next_value() in ascending order. The per-bit
+/// filtered/survivor branch is the expensive part of a scatter
+/// (data-dependent, mispredicted ~2x per byte). Instead: zero the whole
+/// 8-lane group unconditionally (one vector store), then overwrite just
+/// the survivor lanes in ascending order via countr_zero — the same code
+/// order the packer emitted. Returns the number of survivors written.
+template <typename NextValue>
+std::size_t scatter_through_bitmap(std::span<const std::uint8_t> bitmap,
+                                   std::span<float> out,
+                                   NextValue&& next_value) {
+  const std::size_t n = out.size();
+  std::size_t read_codes = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint8_t byte = bitmap[i / 8];
+    if (byte == 0) {
+      // Full byte of survivors: no zeroing, no bit iteration.
+      for (unsigned k = 0; k < 8; ++k) out[i + k] = next_value();
+      read_codes += 8;
+      continue;
+    }
+    for (unsigned k = 0; k < 8; ++k) out[i + k] = 0.0F;
+    auto surv = static_cast<std::uint8_t>(~byte);
+    while (surv != 0) {
+      const auto k = static_cast<unsigned>(std::countr_zero(surv));
+      surv = static_cast<std::uint8_t>(surv & (surv - 1));
+      out[i + k] = next_value();
+      ++read_codes;
+    }
+  }
+  for (; i < n; ++i) {
+    if ((bitmap[i / 8] >> (i % 8)) & 1U) {
+      out[i] = 0.0F;
+    } else {
+      out[i] = next_value();
+      ++read_codes;
+    }
+  }
+  return read_codes;
+}
+
 }  // namespace
 
 void fused_scatter_dequant(std::span<const std::uint8_t> packed,
@@ -388,41 +430,9 @@ void fused_scatter_dequant(std::span<const std::uint8_t> packed,
     throw std::invalid_argument("fused_scatter_dequant: bad bit width");
   }
   FastBitStream bs(packed);
-  const std::size_t n = out.size();
   std::size_t read_codes = 0;
-  // The per-bit filtered/survivor branch is the expensive part of the
-  // scatter (data-dependent, mispredicted ~2x per byte). Instead: zero
-  // the whole 8-lane group unconditionally (one vector store), then
-  // overwrite just the survivor lanes in ascending order via
-  // countr_zero — the same code order the packer emitted. `next_value`
-  // yields the next survivor's dequantized float.
   const auto scatter = [&](auto&& next_value) {
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const std::uint8_t byte = bitmap[i / 8];
-      if (byte == 0) {
-        // Full byte of survivors: no zeroing, no bit iteration.
-        for (unsigned k = 0; k < 8; ++k) out[i + k] = next_value();
-        read_codes += 8;
-        continue;
-      }
-      for (unsigned k = 0; k < 8; ++k) out[i + k] = 0.0F;
-      auto surv = static_cast<std::uint8_t>(~byte);
-      while (surv != 0) {
-        const auto k = static_cast<unsigned>(std::countr_zero(surv));
-        surv = static_cast<std::uint8_t>(surv & (surv - 1));
-        out[i + k] = next_value();
-        ++read_codes;
-      }
-    }
-    for (; i < n; ++i) {
-      if ((bitmap[i / 8] >> (i % 8)) & 1U) {
-        out[i] = 0.0F;
-      } else {
-        out[i] = next_value();
-        ++read_codes;
-      }
-    }
+    read_codes = scatter_through_bitmap(bitmap, out, next_value);
   };
   if (bit_width == 8) {
     // Byte-aligned codes: stage the whole dequantization as a separate
@@ -519,6 +529,20 @@ void fused_dequant(std::span<const std::uint8_t> packed, unsigned bit_width,
   } else {
     for (float& o : out) o = dequant_one(bs.read_wide(bit_width), step);
   }
+}
+
+void fused_reconstruct(const FusedEncodeInfo& info,
+                       const FusedScratch& scratch, std::span<float> out) {
+  const std::int32_t* codes = scratch.codes.data();
+  const double step = info.step;
+  const auto next_value = [&codes, step] {
+    return static_cast<float>(static_cast<double>(*codes++) * step);
+  };
+  if (!info.filtered) {
+    for (float& o : out) o = next_value();
+    return;
+  }
+  scatter_through_bitmap(scratch.bitmap, out, next_value);
 }
 
 }  // namespace compso::quant

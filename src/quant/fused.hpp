@@ -20,6 +20,8 @@
 //     bitmap scatter + dequantize in one pass over a 64-bit bit-stream
 //     accumulator, instead of unpack-to-int64 + dequantize + per-bit
 //     scatter.
+//   - fused_reconstruct: the decoded values of a payload, straight from
+//     the fused pass's scratch (error feedback needs them; no decode).
 //
 // All kernels consume the Rng in exactly the order the reference pipeline
 // does (one uniform per survivor, survivor order), so payloads are
@@ -90,6 +92,14 @@ void fused_scatter_dequant(std::span<const std::uint8_t> packed,
                            unsigned bit_width, double step,
                            std::span<const std::uint8_t> bitmap,
                            std::size_t survivors, std::span<float> out);
+
+/// What decoding the payload of a fused pass yields, written straight from
+/// its int32 codes, bitmap and step: float(double(code) * step) for
+/// survivors and 0.0F for filtered elements — the decoder's arithmetic, so
+/// `out` (sized to the input's element count) is bit-identical to
+/// decompressing the payload, without running the codec.
+void fused_reconstruct(const FusedEncodeInfo& info,
+                       const FusedScratch& scratch, std::span<float> out);
 
 /// Decode fusion, unfiltered payloads: dequantize all `out.size()` codes
 /// straight into `out`.

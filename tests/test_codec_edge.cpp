@@ -5,11 +5,13 @@
 #include "src/codec/codec.hpp"
 #include "src/codec/huffman.hpp"
 #include "src/codec/lz77.hpp"
+#include "src/common/payload_error.hpp"
 #include "src/tensor/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 namespace cc = compso::codec;
 using compso::tensor::Rng;
@@ -88,6 +90,133 @@ TEST(AnsEdge, TwoSymbols) {
   // H(0.9) ~ 0.469 bits/byte -> ~8.5% of original + table.
   EXPECT_LT(enc.size(), data.size() / 6);
   EXPECT_EQ(cc::rans_decode(enc), data);
+}
+
+// rANS frame layout: [17-byte header][mode][256 x u16 freq][4 x u32 lane
+// states][stream]. Mode 0 is stored, mode 2 the 4-lane coded block.
+constexpr std::size_t kModeAt = cc::detail::kHeaderSize;
+constexpr std::uint8_t kStoredMode = 0;
+constexpr std::uint8_t kSingleStateMode = 1;  // the retired layout
+constexpr std::size_t kStatesAt = kModeAt + 1 + 512;
+
+/// Bytes where ~90% are symbol 0 and the rest spread over `alphabet`
+/// symbols: compressible enough that rANS codes rather than stores.
+cc::Bytes skewed(std::size_t n, unsigned alphabet, std::uint64_t seed) {
+  Rng rng(seed);
+  cc::Bytes data(n);
+  for (auto& b : data) {
+    b = rng.uniform() < 0.9F
+            ? 0
+            : static_cast<std::uint8_t>(rng.uniform_index(alphabet));
+  }
+  return data;
+}
+
+std::string rans_error(const cc::Bytes& frame) {
+  try {
+    (void)cc::rans_decode(frame);
+  } catch (const compso::PayloadError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(AnsEdge, ShortLengthsRoundtrip) {
+  // 0..9 symbols: empty, partial lane groups, one full group plus tails.
+  Rng rng(11);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    cc::Bytes data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(3));
+    EXPECT_EQ(cc::rans_decode(cc::rans_encode(data)), data) << n;
+  }
+}
+
+TEST(AnsEdge, CodedLengthsAroundLaneGroups) {
+  // 4k - 1 .. 4k + 2: every lane count of the last group, in coded mode
+  // (the fast decode runs out of stream and the checked tail finishes).
+  for (const std::size_t base : {1024UL, 4096UL, 65536UL}) {
+    for (std::size_t n = base - 1; n <= base + 2; ++n) {
+      const auto data = skewed(n, 16, n);
+      const auto enc = cc::rans_encode(data);
+      ASSERT_NE(enc[kModeAt], kStoredMode) << n;
+      EXPECT_EQ(cc::rans_decode(enc), data) << n;
+    }
+  }
+}
+
+TEST(AnsEdge, SingleSymbolAndFullAlphabet) {
+  // One symbol owns all 4096 slots: every lane codes it in zero bits.
+  const cc::Bytes one(10001, 0xA5);
+  const auto enc_one = cc::rans_encode(one);
+  EXPECT_NE(enc_one[kModeAt], kStoredMode);
+  EXPECT_LT(enc_one.size(), kStatesAt + 16 + 8);
+  EXPECT_EQ(cc::rans_decode(enc_one), one);
+  // Every byte value present, still skewed enough to code.
+  auto all = skewed(50000, 256, 12);
+  for (int s = 0; s < 256; ++s) {
+    all[static_cast<std::size_t>(s) * 7] = static_cast<std::uint8_t>(s);
+  }
+  const auto enc_all = cc::rans_encode(all);
+  EXPECT_NE(enc_all[kModeAt], kStoredMode);
+  EXPECT_EQ(cc::rans_decode(enc_all), all);
+}
+
+TEST(AnsEdge, StoredFallbackBoundsEveryFrame) {
+  // Sweep the entropy across the coded/stored crossover: the threshold
+  // counts the table and the four lane states, so no frame ever exceeds
+  // the stored size (header + mode + raw input) that max_payload_bytes
+  // relies on.
+  Rng rng(13);
+  bool saw_stored = false;
+  bool saw_coded = false;
+  for (std::size_t n : {600UL, 1500UL, 4096UL}) {
+    for (int p = 0; p <= 40; ++p) {
+      cc::Bytes data(n);
+      for (auto& b : data) {
+        b = rng.uniform() < static_cast<float>(p) / 100.0F
+                ? 0
+                : static_cast<std::uint8_t>(rng() & 0xFF);
+      }
+      const auto enc = cc::rans_encode(data);
+      EXPECT_LE(enc.size(), kModeAt + 1 + n) << n << " p=" << p;
+      (enc[kModeAt] == kStoredMode ? saw_stored : saw_coded) = true;
+      EXPECT_EQ(cc::rans_decode(enc), data) << n << " p=" << p;
+    }
+  }
+  EXPECT_TRUE(saw_stored);
+  EXPECT_TRUE(saw_coded);
+}
+
+TEST(AnsEdge, SingleStateFrameIsRejected) {
+  // The retired layout: mode 1, one u32 state after the table. It must
+  // fail typed, not be decoded by a second code path.
+  auto frame = cc::rans_encode(skewed(5000, 16, 14));
+  ASSERT_NE(frame[kModeAt], kStoredMode);
+  frame[kModeAt] = kSingleStateMode;
+  frame.erase(frame.begin() + kStatesAt + 4, frame.begin() + kStatesAt + 16);
+  cc::detail::seal_frame(frame);
+  EXPECT_EQ(rans_error(frame), "rans: unknown block mode");
+}
+
+TEST(AnsEdge, TruncatedStreamTailIsTypedError) {
+  // Drop one or two of the last stream bytes and re-seal the CRC, so the
+  // damage reaches the decoder: it must throw, never read past the end
+  // (the sanitizer configs give this its teeth).
+  for (const std::size_t n : {4095UL, 4096UL, 5001UL}) {
+    const auto frame = cc::rans_encode(skewed(n, 16, n + 15));
+    ASSERT_NE(frame[kModeAt], kStoredMode);
+    for (const std::size_t cut : {1UL, 2UL}) {
+      cc::Bytes damaged(frame.begin(),
+                        frame.end() - static_cast<std::ptrdiff_t>(cut));
+      cc::detail::seal_frame(damaged);
+      EXPECT_FALSE(rans_error(damaged).empty()) << n << " cut=" << cut;
+    }
+    // A stray trailing byte leaves the stream unconsumed: also typed.
+    cc::Bytes padded = frame;
+    padded.push_back(0x5A);
+    cc::detail::seal_frame(padded);
+    EXPECT_FALSE(rans_error(padded).empty()) << n << " padded";
+  }
 }
 
 TEST(HuffmanEdge, TwoSymbolAlphabetIsOneBit) {

@@ -2,6 +2,7 @@
 // bounds, compression-ratio ordering (the Fig. 3 / §5.2 relationships),
 // and GPU-throughput model ordering (Fig. 8).
 
+#include "src/common/payload_error.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/tensor/stats.hpp"
 #include "src/tensor/synthetic.hpp"
@@ -9,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 namespace cp = compso::compress;
 namespace ct = compso::tensor;
@@ -434,6 +438,96 @@ TEST(FusedOracle, PathologicalBoundFallsBackToReference) {
   ASSERT_EQ(rec.size(), data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_NEAR(rec[i], data[i], 1e-6);
+  }
+}
+
+// ---- reconstruction without a decode ----
+
+/// compress_reconstruct_into must produce compress_into's payload and a
+/// reconstruction bit-identical to decompress_into of that payload.
+void expect_reconstruction_matches(const cp::GradientCompressor& c,
+                                   const std::vector<float>& data,
+                                   std::uint64_t seed, const std::string& what) {
+  ct::Rng a(seed);
+  ct::Rng b(seed);
+  cp::Bytes payload;
+  c.compress_into(data, a, payload);
+  std::vector<float> decoded;
+  c.decompress_into(payload, decoded);
+  cp::Bytes out;
+  std::vector<float> recon = {123.0F};  // stale content must be replaced
+  c.compress_reconstruct_into(data, b, out, recon);
+  EXPECT_EQ(out, payload) << what;
+  EXPECT_EQ(a(), b()) << what << ": rng streams diverged";
+  ASSERT_EQ(recon.size(), decoded.size()) << what;
+  EXPECT_TRUE(decoded.empty() ||
+              std::memcmp(recon.data(), decoded.data(),
+                          decoded.size() * sizeof(float)) == 0)
+      << what;
+}
+
+TEST(Compso, ReconstructionMatchesDecompressBitForBit) {
+  using compso::codec::CodecKind;
+  const std::size_t sizes[] = {0, 1, 7, 8, 4097, (1UL << 18) + 3};
+  for (const std::size_t n : sizes) {
+    const auto data = kfac_grad(n, 0xBEEF + n);
+    for (const bool filter : {true, false}) {
+      for (const double eb : {4e-3, 2e-3, 1e-3}) {
+        cp::CompsoParams p;
+        p.use_filter = filter;
+        p.filter_bound = eb;
+        p.quant_bound = eb;
+        const std::string what = "n=" + std::to_string(n) +
+                                 " filter=" + std::to_string(filter) +
+                                 " eb=" + std::to_string(eb);
+        expect_reconstruction_matches(*cp::make_compso(p), data, n + 5, what);
+      }
+      for (const CodecKind kind : compso::codec::kAllCodecKinds) {
+        cp::CompsoParams p;
+        p.use_filter = filter;
+        p.encoder = kind;
+        expect_reconstruction_matches(
+            *cp::make_compso(p), data, n + 6,
+            "n=" + std::to_string(n) + " encoder=" + to_string(kind));
+      }
+      cp::CompsoParams p;
+      p.use_filter = filter;
+      expect_reconstruction_matches(*cp::make_compso(p),
+                                    std::vector<float>(n, 0.0F), n + 7,
+                                    "all-zero n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(Compso, ReconstructionThrowsWhatDecompressThrows) {
+  // Inf in the input makes the quantization step non-finite: the payload
+  // is undecodable, and reconstructing from the quantizer must fail with
+  // the same typed error instead of returning garbage.
+  auto data = kfac_grad(5000, 17);
+  data[321] = std::numeric_limits<float>::infinity();
+  for (const bool filter : {true, false}) {
+    cp::CompsoParams p;
+    p.use_filter = filter;
+    const auto c = cp::make_compso(p);
+    ct::Rng a(3);
+    ct::Rng b(3);
+    cp::Bytes payload;
+    c->compress_into(data, a, payload);
+    std::string decode_error;
+    try {
+      (void)c->decompress(payload);
+    } catch (const compso::PayloadError& e) {
+      decode_error = e.what();
+    }
+    ASSERT_FALSE(decode_error.empty()) << "decode accepted a non-finite step";
+    cp::Bytes out;
+    std::vector<float> recon;
+    try {
+      c->compress_reconstruct_into(data, b, out, recon);
+      ADD_FAILURE() << "reconstruction accepted a non-finite step";
+    } catch (const compso::PayloadError& e) {
+      EXPECT_EQ(std::string(e.what()), decode_error);
+    }
   }
 }
 

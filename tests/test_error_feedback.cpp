@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -112,6 +113,43 @@ TEST(ErrorFeedback, ResidualBoundedUnderCompso) {
   for (int step = 0; step < 25; ++step) {
     ef->compress_stream_into(0, g, rng, payload);
     EXPECT_LT(wrapper->residual_norm(0), gnorm);
+  }
+}
+
+TEST(ErrorFeedback, ResidualEqualsInputMinusDecodedPayload) {
+  // e' = (g + e) - decode(payload), bit for bit: the reconstruction COMPSO
+  // hands the wrapper must be exactly what the wire decodes to. Sizes
+  // cover the bitmap tail group and a multi-block layer; both filter
+  // modes.
+  for (const bool filter : {true, false}) {
+    cp::CompsoParams params;
+    params.use_filter = filter;
+    const auto inner = cp::make_compso(params);
+    const auto ef = cp::make_error_feedback(cp::make_compso(params));
+    auto* wrapper = dynamic_cast<cp::ErrorFeedbackCompressor*>(ef.get());
+    ASSERT_NE(wrapper, nullptr);
+    ct::Rng rng(21);
+    cp::Bytes payload;
+    for (const std::size_t n : {13UL, 4099UL, 70001UL}) {
+      const std::uint64_t stream = n;
+      for (int step = 0; step < 4; ++step) {
+        const auto g = fixed_gradient(n, 100 * n + step);
+        std::vector<float> e = wrapper->residual(stream);
+        if (e.empty()) e.assign(n, 0.0F);
+        ef->compress_stream_into(stream, g, rng, payload);
+        const auto decoded = inner->decompress(payload);
+        ASSERT_EQ(decoded.size(), n);
+        const auto residual = wrapper->residual(stream);
+        ASSERT_EQ(residual.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float expect = (g[i] + e[i]) - decoded[i];
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(residual[i]),
+                    std::bit_cast<std::uint32_t>(expect))
+              << "filter=" << filter << " n=" << n << " step=" << step
+              << " i=" << i;
+        }
+      }
+    }
   }
 }
 

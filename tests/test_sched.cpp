@@ -316,6 +316,61 @@ TEST(SchedDeterminism, DistSgdBitExactAcrossThreadCounts) {
   expect_bitwise_equal(serial, run_sgd_sched(8), "8-thread engine");
 }
 
+// --- DistSgd's exchange tail: accumulate, momentum and update run as
+// engine batches over fixed element ranges ---
+
+/// EF-over-COMPSO SGD at world 3 whose two big slots (96*400+400 and
+/// 400*400+400 elements) are not multiples of the tail's range size, so
+/// every batch ends on a partial range; the output slot fits one range.
+core::FtTrainerConfig sgd_tail_config(std::size_t engine_threads,
+                                      std::size_t chunk_bytes) {
+  core::FtTrainerConfig cfg;
+  cfg.base = {.world = 3,
+              .batch_per_rank = 8,
+              .features = 96,
+              .classes = 4,
+              .hidden = 400,
+              .depth = 2,
+              .noise = 0.7F,
+              .seed = 4711};
+  cfg.optimizer = core::OptimizerKind::kSgd;
+  cfg.family = core::CompressorFamily::kEfCompso;
+  cfg.sgd.chunk_bytes = chunk_bytes;
+  cfg.base_lr = 0.05;
+  cfg.total_iterations = 6;
+  cfg.engine_threads = engine_threads;
+  return cfg;
+}
+
+TEST(SchedDeterminism, DistSgdTailBitExactAcrossThreadsChunkingAndResume) {
+  for (const std::size_t chunk_bytes : {0UL, 8192UL}) {
+    core::FaultTolerantTrainer serial(sgd_tail_config(0, chunk_bytes));
+    const auto base_loss = serial.run(6);
+    const auto base_params = serial.parameters();
+    for (const std::size_t threads : {0UL, 1UL, 2UL, 8UL}) {
+      const std::string what = "chunk_bytes=" + std::to_string(chunk_bytes) +
+                               " threads=" + std::to_string(threads);
+      if (threads != 0) {
+        core::FaultTolerantTrainer straight(
+            sgd_tail_config(threads, chunk_bytes));
+        EXPECT_EQ(straight.run(6), base_loss) << what;
+        expect_bitwise_equal(base_params, straight.parameters(),
+                             what.c_str());
+      }
+      // Interrupt at 3 under `threads`, resume under a different count.
+      core::FaultTolerantTrainer first(sgd_tail_config(threads, chunk_bytes));
+      first.run(3);
+      const auto frame = first.checkpoint();
+      core::FaultTolerantTrainer resumed(
+          sgd_tail_config(threads == 2 ? 8 : 2, chunk_bytes));
+      resumed.restore(frame);
+      resumed.run(3);
+      expect_bitwise_equal(base_params, resumed.parameters(),
+                           (what + " resumed").c_str());
+    }
+  }
+}
+
 // --- per-factor eigh nodes: eigh_a{s} / eigh_g{s} joined by precond{s} ---
 
 /// DistKfac refreshing every step (so every step runs the split eigh
