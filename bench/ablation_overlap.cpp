@@ -208,6 +208,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"ablation_overlap\",\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_fingerprint_json().c_str());
   std::fprintf(f, "  \"model\": \"%s\",\n", cfg.model.name.c_str());
   std::fprintf(f, "  \"network\": \"%s\",\n", cfg.net.name().c_str());
   std::fprintf(f, "  \"aggregation\": %zu,\n", kAggregation);

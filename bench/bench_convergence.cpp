@@ -150,6 +150,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"bench_convergence\",\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_fingerprint_json().c_str());
   std::fprintf(f, "  \"iterations\": %zu,\n", kIters);
   std::fprintf(f, "  \"topk_keep\": %.4f,\n", kKeep);
   std::fprintf(f, "  \"sketch_ratio\": %.4f,\n", kSketchRatio);

@@ -22,7 +22,7 @@
 //     allreduce times plus the auto-selected algorithm, with the gate
 //     hierarchical < flat ring at >= 256 ranks for >= 1MB messages.
 //
-// Emits BENCH_scale.json: host_concurrency, selected algorithm per
+// Emits BENCH_scale.json: the host fingerprint, selected algorithm per
 // message-size bucket, per-rank peak factor-memory bytes (functional and
 // analytic), grid throughputs, and every gate verdict.
 //
@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace compso;
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
       return usage(argv[0], argv[i]);
     }
   }
-  const unsigned host_concurrency = std::thread::hardware_concurrency();
   int failures = 0;
 
   // --- leg 1: sharded vs KAISA bit-identity -------------------------------
@@ -378,7 +376,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"scale_sweep\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"host_concurrency\": %u,\n", host_concurrency);
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_fingerprint_json().c_str());
   std::fprintf(f,
                "  \"sharded_vs_kaisa\": {\"world\": %zu, \"steps\": %zu, "
                "\"bit_identical\": %s},\n",

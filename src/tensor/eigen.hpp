@@ -6,9 +6,12 @@
 // precision: Householder tridiagonalisation (tred2) accumulating the
 // orthogonal transform, then implicit-shift QL on the tridiagonal (tql2).
 // The accumulator is stored transposed, so every Householder update and
-// every QL rotation walks contiguous rows (DESIGN.md §11.4). It is a pure
-// serial function of its input and uses no thread pool, so callers may
-// run it inside engine tasks without breaking bit-exactness.
+// every QL rotation walks contiguous rows; the QL rotations are logged
+// and applied to the eigenvectors in L1-resident column panels by a
+// vectorized kernel with the scalar loop's exact rounding (DESIGN.md
+// §11.4). It is a pure serial function of its input and uses no thread
+// pool, so callers may run it inside engine tasks without breaking
+// bit-exactness.
 //
 // `eigh_reference` is a two-pass cyclic Jacobi, kept as the correctness
 // oracle for the property tests.
@@ -29,6 +32,19 @@ struct EigenDecomposition {
   /// for `eigh`, Jacobi sweeps for `eigh_reference`.
   int sweeps_used = 0;
 };
+
+/// eigh's double-precision result before the eigenpairs are sorted and
+/// rounded to float: eigenvalue j in `values[j]`, eigenvector j in row j
+/// of the row-major n x n `vectors`. `eigh` is exactly this plus the sort;
+/// the tests compare it bit for bit.
+struct UnsortedEigen {
+  std::vector<double> values;
+  std::vector<double> vectors;
+  int iterations = 0;
+  bool converged = true;
+};
+
+UnsortedEigen eigh_unsorted(const Tensor& m);
 
 /// Householder tridiagonalisation + implicit-shift QL.
 ///

@@ -102,23 +102,6 @@ TEST(Reduction, ShuffleNearsBandwidthLimit) {
   EXPECT_LT(t, ideal * 1.5);  // within 50% of the pure-bandwidth bound
 }
 
-TEST(Reduction, ParallelExtremaMatchesSequential) {
-  compso::tensor::Rng rng(5);
-  std::vector<float> v(100001);
-  rng.fill_normal(v);
-  v[50000] = 123.0F;
-  v[70000] = -321.0F;
-  const auto e = gs::parallel_extrema(v);
-  EXPECT_EQ(e.max, 123.0F);
-  EXPECT_EQ(e.min, -321.0F);
-  EXPECT_EQ(e.abs_max, 321.0F);
-}
-
-TEST(Reduction, EmptyInput) {
-  const auto e = gs::parallel_extrema({});
-  EXPECT_EQ(e.abs_max, 0.0F);
-}
-
 TEST(LayerBlockMap, BlocksNeverSpanLayers) {
   gs::LayerBlockMap map({100, 300, 50}, 128);
   for (const auto& b : map.blocks()) {

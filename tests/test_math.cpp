@@ -2,7 +2,8 @@
 // retained naive references: property tests on awkward shapes, bitwise
 // determinism of the pool-parallel path at several thread counts, NaN/Inf
 // propagation through the kernels (no zero-skip), the tridiagonal-QL eigh
-// against the Jacobi oracle, non-convergence reporting, and the
+// against the Jacobi oracle and bit for bit against the scalar QL loops
+// it vectorizes, non-convergence reporting, and the
 // scratch-reuse helper. The parallel suites run under TSan via ci.sh's
 // build-tsan config.
 
@@ -14,12 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -446,6 +451,280 @@ TEST(Eigh, NonFiniteInputReportsNonConvergence) {
         ASSERT_EQ(e.eigenvalues.size(), n);
         EXPECT_EQ(e.eigenvectors.rows(), n);
         EXPECT_LE(e.sweeps_used, 30 * static_cast<int>(n));
+      }
+    }
+  }
+}
+
+// --- eigh against the scalar QL loops it vectorizes ---
+
+/// The unblocked solver eigh replaced: Householder tridiagonalisation
+/// (tred2) and implicit-shift QL (tql2) on a transposed accumulator, with
+/// every eigenvector rotation applied inside the bulge chase and every
+/// Householder loop scalar. Test-only: eigh must reproduce it bit for bit.
+ct::UnsortedEigen scalar_ql_oracle(const ct::Tensor& m) {
+  const std::size_t n = m.rows();
+  if (n == 0) return {};
+  std::vector<double> vt(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) vt[i] = m.data()[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double avg = 0.5 * (vt[i * n + j] + vt[j * n + i]);
+      vt[i * n + j] = vt[j * n + i] = avg;
+    }
+  }
+  bool finite = true;
+  for (double x : vt) finite = finite && std::isfinite(x);
+  const auto v = [&](std::size_t row, std::size_t col) -> double& {
+    return vt[col * n + row];
+  };
+  std::vector<double> d(n), e(n);
+  int iterations = 0;
+  bool capped = false;
+  for (std::size_t j = 0; j < n; ++j) d[j] = v(n - 1, j);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::fabs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = v(i - 1, j);
+        v(i, j) = 0.0;
+        v(j, i) = 0.0;
+      }
+    } else {
+      for (std::size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = f > 0.0 ? -std::sqrt(h) : std::sqrt(h);
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        v(j, i) = f;
+        const double* colj = vt.data() + j * n;
+        g = e[j] + colj[j] * f;
+        for (std::size_t k = j + 1; k < i; ++k) {
+          g += colj[k] * d[k];
+          e[k] += colj[k] * f;
+        }
+        e[j] = g;
+      }
+      f = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        g = e[j];
+        double* colj = vt.data() + j * n;
+        for (std::size_t k = j; k < i; ++k) colj[k] -= f * e[k] + g * d[k];
+        d[j] = v(i - 1, j);
+        v(i, j) = 0.0;
+      }
+    }
+    d[i] = h;
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    v(n - 1, i) = v(i, i);
+    v(i, i) = 1.0;
+    const double h = d[i + 1];
+    const double* u = vt.data() + (i + 1) * n;
+    if (h != 0.0) {
+      for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
+      for (std::size_t j = 0; j <= i; ++j) {
+        double* colj = vt.data() + j * n;
+        double g = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) g += u[k] * colj[k];
+        for (std::size_t k = 0; k <= i; ++k) colj[k] -= g * d[k];
+      }
+    }
+    for (std::size_t k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d[j] = v(n - 1, j);
+    v(n - 1, j) = 0.0;
+  }
+  v(n - 1, n - 1) = 1.0;
+
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  const double eps = std::numeric_limits<double>::epsilon();
+  double shift = 0.0;
+  double tst1 = 0.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    std::size_t mm = l;
+    while (mm + 1 < n && !(std::fabs(e[mm]) <= eps * tst1)) ++mm;
+    if (mm > l) {
+      int iter = 0;
+      do {
+        if (iter == 30) {
+          capped = true;
+          break;
+        }
+        ++iter;
+        ++iterations;
+        double g = d[l];
+        double p = (d[l + 1] - g) / (2.0 * e[l]);
+        double r = std::hypot(p, 1.0);
+        if (p < 0.0) r = -r;
+        d[l] = e[l] / (p + r);
+        d[l + 1] = e[l] * (p + r);
+        const double dl1 = d[l + 1];
+        double h = g - d[l];
+        for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+        shift += h;
+        p = d[mm];
+        double c = 1.0, c2 = 1.0, c3 = 1.0;
+        const double el1 = e[l + 1];
+        double s = 0.0, s2 = 0.0;
+        for (std::size_t i = mm; i-- > l;) {
+          c3 = c2;
+          c2 = c;
+          s2 = s;
+          g = c * e[i];
+          h = c * p;
+          r = std::hypot(p, e[i]);
+          e[i + 1] = s * r;
+          s = e[i] / r;
+          c = p / r;
+          p = c * d[i] - s * g;
+          d[i + 1] = h + s * (c * g + s * d[i]);
+          double* qi = vt.data() + i * n;
+          double* qi1 = vt.data() + (i + 1) * n;
+          for (std::size_t k = 0; k < n; ++k) {
+            const double a = qi[k];
+            const double b = qi1[k];
+            qi1[k] = s * a + c * b;
+            qi[k] = c * a - s * b;
+          }
+        }
+        p = -s * s2 * c3 * el1 * e[l] / dl1;
+        e[l] = s * p;
+        d[l] = c * p;
+      } while (std::fabs(e[l]) > eps * tst1);
+    }
+    d[l] += shift;
+    e[l] = 0.0;
+  }
+
+  return {std::move(d), std::move(vt), iterations, finite && !capped};
+}
+
+/// The oracle's eigenpairs sorted ascending (NaN last) and rounded to
+/// float, as eigh returns them.
+ct::EigenDecomposition sorted(const ct::UnsortedEigen& raw) {
+  const std::size_t n = raw.values.size();
+  const std::vector<double>& d = raw.values;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    if (std::isnan(d[x])) return false;
+    return std::isnan(d[y]) || d[x] < d[y];
+  });
+  ct::EigenDecomposition out;
+  out.converged = raw.converged;
+  out.sweeps_used = raw.iterations;
+  out.eigenvalues.resize(n);
+  out.eigenvectors = ct::Tensor({n, n});
+  for (std::size_t col = 0; col < n; ++col) {
+    out.eigenvalues[col] = static_cast<float>(d[order[col]]);
+    for (std::size_t row = 0; row < n; ++row) {
+      out.eigenvectors.at(row, col) =
+          static_cast<float>(raw.vectors[order[col] * n + row]);
+    }
+  }
+  return out;
+}
+
+/// Same bits, except that any NaN matches any NaN: which operand's NaN
+/// an IEEE multiply or add propagates (and so its sign) is up to the
+/// compiler's operand order, in the oracle as much as in eigh.
+template <typename T>
+void expect_same_bits(const std::vector<T>& got, const std::vector<T>& want,
+                      const std::string& what) {
+  using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t,
+                                  std::uint32_t>;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const bool same =
+        std::bit_cast<Bits>(got[i]) == std::bit_cast<Bits>(want[i]) ||
+        (std::isnan(got[i]) && std::isnan(want[i]));
+    ASSERT_TRUE(same) << what << " [" << i << "]: " << got[i] << " vs "
+                      << want[i];
+  }
+}
+
+/// eigh agrees with the oracle bit for bit twice over: in double
+/// precision before the sort (where a reordered sum or a fused
+/// multiply-add shows; rounding to float would hide most of them) and in
+/// the float decomposition it returns.
+void expect_bit_identical_to_oracle(const ct::Tensor& m,
+                                    const std::string& what) {
+  const ct::UnsortedEigen raw = ct::eigh_unsorted(m);
+  const ct::UnsortedEigen want = scalar_ql_oracle(m);
+  EXPECT_EQ(raw.iterations, want.iterations) << what;
+  EXPECT_EQ(raw.converged, want.converged) << what;
+  expect_same_bits(raw.values, want.values, what + " double values");
+  expect_same_bits(raw.vectors, want.vectors, what + " double vectors");
+
+  const ct::EigenDecomposition got = ct::eigh(m);
+  const ct::EigenDecomposition ref = sorted(want);
+  EXPECT_EQ(got.sweeps_used, ref.sweeps_used) << what;
+  EXPECT_EQ(got.converged, ref.converged) << what;
+  expect_same_bits(got.eigenvalues, ref.eigenvalues, what + " eigenvalues");
+  const auto flat = [](const ct::Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.size());
+  };
+  expect_same_bits(flat(got.eigenvectors), flat(ref.eigenvectors),
+                   what + " eigenvectors");
+}
+
+TEST(Eigh, BitIdenticalToScalarQl) {
+  // Sizes around the 16- and 32-double column panels (panel tails) and
+  // large enough that the 4n-entry rotation log flushes mid-chase.
+  for (std::size_t n : {1UL, 2UL, 3UL, 15UL, 16UL, 17UL, 31UL, 32UL, 33UL,
+                        64UL, 129UL, 160UL, 161UL, 193UL, 257UL}) {
+    const std::string at = " n=" + std::to_string(n);
+    expect_bit_identical_to_oracle(random_symmetric(n, 1100 + n),
+                                   "random" + at);
+    expect_bit_identical_to_oracle(covariance(n, n + 8, 1200 + n),
+                                   "covariance" + at);
+  }
+  for (std::size_t n : {5UL, 32UL, 129UL}) {
+    std::vector<float> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = static_cast<float>(i % 3) - 1.0F;
+    }
+    expect_bit_identical_to_oracle(with_spectrum(values, 950 + n),
+                                   "repeated n=" + std::to_string(n));
+  }
+  for (const auto& [n, batch] :
+       {std::pair{32UL, 8UL}, std::pair{129UL, 64UL},
+        std::pair{161UL, 100UL}}) {
+    expect_bit_identical_to_oracle(covariance(n, batch, 970 + n),
+                                   "rank-deficient n=" + std::to_string(n));
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf, -inf}) {
+    for (std::size_t n : {1UL, 2UL, 7UL, 33UL, 161UL}) {
+      for (const std::size_t at : {0UL, n - 1}) {
+        ct::Tensor m = random_symmetric(n, 990 + n);
+        m.at(at, n - 1 - at) = bad;
+        m.at(n - 1 - at, at) = bad;
+        expect_bit_identical_to_oracle(
+            m, "bad=" + std::to_string(bad) + " n=" + std::to_string(n) +
+                   " at=" + std::to_string(at));
       }
     }
   }
