@@ -1,8 +1,9 @@
 // Blocked math engine vs. naive reference throughput (DESIGN.md §11).
 //
 // Measures the packed-panel GEMM/syrk kernels against the retained naive
-// references, the tridiagonal-QL eigh against the Jacobi oracle
-// (`eigh_reference`), plus the pool-parallel GEMM path, verifies
+// references and at the shapes the perfbench workloads run, the
+// tridiagonal-QL eigh against the Jacobi oracle (`eigh_reference`), plus
+// the pool-parallel GEMM path, verifies
 // blocked-vs-reference accuracy and blocked-vs-parallel bit-identity,
 // prints a table, and writes BENCH_math.json (the compute side of the
 // repo's perf trajectory, next to BENCH_compress.json). Usage:
@@ -45,9 +46,12 @@ namespace ct = compso::tensor;
 
 namespace {
 
-// Sanitizer instrumentation flattens the blocked-vs-naive gap (both sides
-// pay per-access shadow checks, but the packed panels pay them twice); the
-// speedup gate only has teeth in an uninstrumented build.
+// Sanitizer instrumentation narrows the blocked-vs-naive gap: the naive
+// loops pay a shadow check on every load and store, the blocked kernel
+// only in its packers and C-tile loads and stores, since its accumulators
+// live in registers. An accumulator tile kept in memory pays one on every
+// multiply-add and falls to about naive speed, which the sanitized 1.0x
+// gate catches. Only an uninstrumented build gives the 4x gate teeth.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitizedBuild = true;
 #elif defined(__has_feature)
@@ -107,6 +111,14 @@ struct GemmRow {
   double naive_gflops, blocked_gflops, parallel_gflops;
   double max_rel_err;
   bool parallel_bit_identical;
+};
+
+/// Blocked single-thread throughput of one kernel at one workload shape
+/// (m x n output, depth k; syrk_tn has m = n = d and k = batch rows).
+struct ShapeRow {
+  const char* op;
+  std::size_t m, n, k;
+  double blocked_gflops;
 };
 
 struct EighRow {
@@ -237,6 +249,48 @@ int main(int argc, char** argv) {
               syrk_flops / syrk_t_blocked / 1e9,
               syrk_t_naive / syrk_t_blocked);
 
+  // --- blocked kernels at the perfbench workload shapes ---
+  // Layer forward (gemm_nt: batch x in times out x in), weight gradient
+  // (gemm_tn: out x in over the batch) and KFAC factor update (syrk_tn
+  // over the batch) of sgd_compress (hidden 512), kfac_faulted (hidden
+  // 128) and kfac_refresh (hidden 160). One call takes tens of
+  // microseconds, so each timed rep runs a batch of calls.
+  std::printf("\nblocked kernels at workload shapes\n");
+  std::printf("%-8s %5s %5s %5s | %12s\n", "op", "m", "n", "k",
+              "blocked GF/s");
+  std::vector<ShapeRow> shape_rows;
+  const auto time_shape = [&](const char* op, std::size_t m, std::size_t n,
+                              std::size_t k, double flops, auto&& fn) {
+    constexpr int kCalls = 20;
+    const std::string name = std::string("bench.") + op + "." +
+                             std::to_string(m) + "x" + std::to_string(n) +
+                             "x" + std::to_string(k);
+    const double t = time_best(name, reps, [&] {
+                       for (int i = 0; i < kCalls; ++i) fn();
+                     }) / kCalls;
+    shape_rows.push_back({op, m, n, k, flops / t / 1e9});
+    std::printf("%-8s %5zu %5zu %5zu | %12.2f\n", op, m, n, k,
+                shape_rows.back().blocked_gflops);
+  };
+  ct::Tensor out;
+  for (const std::size_t h : {512UL, 128UL}) {
+    const auto x = rand2(64, h, 5000 + h);
+    const auto w = rand2(h, h, 5100 + h);
+    time_shape("gemm_nt", 64, h, h, 2.0 * 64 * h * h,
+               [&] { ct::gemm_nt(x, w, out); });
+  }
+  {
+    const auto g = rand2(64, 128, 5201);
+    const auto x = rand2(64, 129, 5202);
+    time_shape("gemm_tn", 128, 129, 64, 2.0 * 128 * 129 * 64,
+               [&] { ct::gemm_tn(g, x, out); });
+  }
+  for (const std::size_t d : {129UL, 161UL}) {
+    const auto x = rand2(64, d, 5300 + d);
+    time_shape("syrk_tn", d, d, 64, 64.0 * d * (d + 1),
+               [&] { ct::syrk_tn(x, 0.5F, 0.0F, out); });
+  }
+
   // --- eigh: tridiagonal QL vs the two-pass Jacobi oracle ---
   std::printf("\neigh (symmetric, double precision)\n");
   std::printf("%6s | %10s %10s | %s\n", "size", "jacobi ms", "ql ms",
@@ -295,6 +349,16 @@ int main(int argc, char** argv) {
       syrk_n, syrk_d, syrk_flops / syrk_t_naive / 1e9,
       syrk_flops / syrk_t_blocked / 1e9, syrk_t_naive / syrk_t_blocked,
       syrk_err);
+  std::fprintf(f, "  \"workload_shapes\": [\n");
+  for (std::size_t i = 0; i < shape_rows.size(); ++i) {
+    const ShapeRow& r = shape_rows[i];
+    std::fprintf(f,
+                 "    {\"op\": \"%s\", \"m\": %zu, \"n\": %zu, \"k\": %zu,"
+                 " \"blocked_gflops\": %.3f}%s\n",
+                 r.op, r.m, r.n, r.k, r.blocked_gflops,
+                 i + 1 < shape_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"eigh\": [\n");
   for (std::size_t i = 0; i < eigh_rows.size(); ++i) {
     const EighRow& r = eigh_rows[i];

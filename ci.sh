@@ -10,6 +10,9 @@
 #   ./ci.sh scale      1000-rank scale-out suites only (ctest -L scale)
 #   ./ci.sh convergence  compressor-family convergence suites (ctest -L convergence)
 #   ./ci.sh LABEL      any other ctest label the same way (ctest -L LABEL)
+#   ./ci.sh bench      build the normal config only and regenerate the six
+#                      BENCH_*.json files at the repo root (full, not smoke,
+#                      runs; wall-clock numbers want an otherwise idle host)
 #
 # Every config builds with -DCOMPSO_WERROR=ON: the tree compiles without a
 # warning under all three, and a new one fails CI.
@@ -110,6 +113,26 @@ run_suite() {
   # An empty label selects every test.
   ctest --test-dir "$dir" -L "$LABEL" --output-on-failure -j "$JOBS"
 }
+
+if [ "$LABEL" = bench ]; then
+  cmake -S . -B build-ci -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCOMPSO_WERROR=ON \
+    >/dev/null
+  cmake --build build-ci -j "$JOBS"
+  root="$(pwd)"
+  # Run from the build tree so anything else a bench writes stays there.
+  cd build-ci/bench
+  for spec in micro_compressor_throughput:BENCH_compress.json \
+              micro_math_throughput:BENCH_math.json \
+              micro_train_throughput:BENCH_train.json \
+              ablation_overlap:BENCH_overlap.json \
+              scale_sweep:BENCH_scale.json \
+              bench_convergence:BENCH_convergence.json; do
+    echo "=== ${spec%%:*} -> ${spec#*:} ==="
+    "./${spec%%:*}" "$root/${spec#*:}"
+  done
+  echo "ci.sh: BENCH_*.json regenerated"
+  exit 0
+fi
 
 echo "=== config 1/3: normal ==="
 run_suite build-ci

@@ -2,11 +2,13 @@
 
 #include "src/common/thread_pool.hpp"
 
+#include <immintrin.h>
+
 #include <algorithm>
-#include <cmath>
 #include <atomic>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace compso::tensor {
@@ -35,219 +37,223 @@ std::atomic<common::ThreadPool*> g_math_pool{nullptr};
 // loads each C element into a register, extends its accumulation chain
 // with k ascending (one fused or unfused multiply-add per k), and stores
 // it back. Every output element therefore sees one fixed operation
-// sequence regardless of blocking or of which thread computed its row
-// block — results are bit-identical at any thread count. The microkernel
-// is runtime-dispatched to the widest ISA the host offers (AVX-512+FMA,
-// AVX2+FMA, baseline SSE2); the chosen variant is a pure function of the
-// host CPU, so within a machine the dispatch is deterministic too. The
-// FMA variants round once per multiply-add, so blocked results agree
-// with the unfused *_reference oracles to accumulation tolerance, not
-// bitwise (the property tests encode exactly that contract).
+// sequence regardless of tile shape, blocking, or which thread computed
+// its row block — results are bit-identical at any thread count. The
+// microkernel is runtime-dispatched to the widest ISA the host offers
+// (AVX-512+FMA, AVX2+FMA, baseline SSE2); the chosen variant is a pure
+// function of the host CPU, so within a machine the dispatch is
+// deterministic too. The FMA variants round once per multiply-add, so
+// blocked results agree with the unfused *_reference oracles to
+// accumulation tolerance, not bitwise (the property tests encode exactly
+// that contract).
 // ---------------------------------------------------------------------------
 
 thread_local std::vector<float> t_apack;  ///< per-thread A panel scratch.
 thread_local std::vector<float> t_bpack;  ///< caller-thread B panel scratch.
 
-/// Operand layouts the packers understand. `trans == false` reads
-/// element (i, p) at src[i * ld + p]; `trans == true` reads src[p * ld + i]
+/// Operand layouts the packer understands. `trans == false` reads
+/// element (i, p) at data[i * ld + p]; `trans == true` reads data[p * ld + i]
 /// (i.e. the operand is stored transposed relative to its role).
 struct Panel {
   const float* data;
   std::size_t ld;
   bool trans;
-
-  float at(std::size_t i, std::size_t p) const {
-    return trans ? data[p * ld + i] : data[i * ld + p];
-  }
 };
 
 using MicroFn = void (*)(std::size_t kb, const float* ap, const float* bp,
                          float* c, std::size_t ldc);
-using MicroEdgeFn = void (*)(std::size_t kb, const float* ap, const float* bp,
-                             float* c, std::size_t ldc, std::size_t mr,
-                             std::size_t nr, std::size_t gi0, std::size_t gj0,
-                             bool triangular);
 
 /// One ISA variant of the engine: register-tile shape, blocking
-/// parameters, and the two microkernels.
+/// parameters, and the full-tile microkernel.
 struct KernelDesc {
+  const char* name;
   std::size_t mr, nr;  ///< register tile.
   std::size_t mc, kc, nc;  ///< cache blocking (mc is a multiple of mr).
   MicroFn full;
-  MicroEdgeFn edge;
 };
 
-/// Generic tile body. With UseFma the multiply-add is a single fused
-/// rounding (std::fma compiles to one vfmadd when the enclosing function
-/// carries the matching target attribute); without it, separate mul+add
-/// exactly like the reference loops. Must inline into its ISA-targeted
-/// wrapper to inherit the wider instruction set.
-template <std::size_t MRv, std::size_t NRv, bool UseFma>
-[[gnu::always_inline]] inline void micro_body(std::size_t kb, const float* ap,
-                                              const float* bp, float* c,
-                                              std::size_t ldc) {
-  float acc[MRv][NRv];
-  for (std::size_t r = 0; r < MRv; ++r) {
-    for (std::size_t j = 0; j < NRv; ++j) acc[r][j] = c[r * ldc + j];
-  }
-  for (std::size_t p = 0; p < kb; ++p) {
-    const float* a = ap + p * MRv;
-    const float* b = bp + p * NRv;
-    for (std::size_t r = 0; r < MRv; ++r) {
-      const float av = a[r];
-      for (std::size_t j = 0; j < NRv; ++j) {
-        if constexpr (UseFma) {
-          acc[r][j] = std::fma(av, b[j], acc[r][j]);
-        } else {
-          acc[r][j] += av * b[j];
-        }
-      }
-    }
-  }
-  for (std::size_t r = 0; r < MRv; ++r) {
-    for (std::size_t j = 0; j < NRv; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-/// Edge tile body: same accumulation chains, bounds-checked load/store.
-/// `triangular` drops stores where global column < global row (syrk
-/// upper-triangle tiles crossing the diagonal).
-template <std::size_t MRv, std::size_t NRv, bool UseFma>
-[[gnu::always_inline]] inline void micro_edge_body(
-    std::size_t kb, const float* ap, const float* bp, float* c,
-    std::size_t ldc, std::size_t mr, std::size_t nr, std::size_t gi0,
-    std::size_t gj0, bool triangular) {
-  float acc[MRv][NRv];
-  for (std::size_t r = 0; r < MRv; ++r) {
-    for (std::size_t j = 0; j < NRv; ++j) {
-      acc[r][j] = (r < mr && j < nr) ? c[r * ldc + j] : 0.0F;
-    }
-  }
-  for (std::size_t p = 0; p < kb; ++p) {
-    const float* a = ap + p * MRv;
-    const float* b = bp + p * NRv;
-    for (std::size_t r = 0; r < MRv; ++r) {
-      const float av = a[r];
-      for (std::size_t j = 0; j < NRv; ++j) {
-        if constexpr (UseFma) {
-          acc[r][j] = std::fma(av, b[j], acc[r][j]);
-        } else {
-          acc[r][j] += av * b[j];
-        }
-      }
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t j = 0; j < nr; ++j) {
-      if (triangular && gj0 + j < gi0 + r) continue;
-      c[r * ldc + j] = acc[r][j];
-    }
-  }
-}
-
-// Baseline (SSE2): 6x8 tile = 12 xmm accumulators, mul+add (no FMA in
-// the baseline ISA), bit-identical to the reference loops.
-void micro_generic(std::size_t kb, const float* ap, const float* bp, float* c,
-                   std::size_t ldc) {
-  micro_body<6, 8, false>(kb, ap, bp, c, ldc);
-}
-void micro_generic_edge(std::size_t kb, const float* ap, const float* bp,
-                        float* c, std::size_t ldc, std::size_t mr,
-                        std::size_t nr, std::size_t gi0, std::size_t gj0,
-                        bool triangular) {
-  micro_edge_body<6, 8, false>(kb, ap, bp, c, ldc, mr, nr, gi0, gj0,
-                               triangular);
-}
-
-// AVX2+FMA: 4x16 tile = 8 ymm accumulators.
-[[gnu::target("avx2,fma")]] void micro_avx2(std::size_t kb, const float* ap,
-                                            const float* bp, float* c,
-                                            std::size_t ldc) {
-  micro_body<4, 16, true>(kb, ap, bp, c, ldc);
-}
-[[gnu::target("avx2,fma")]] void micro_avx2_edge(
-    std::size_t kb, const float* ap, const float* bp, float* c,
-    std::size_t ldc, std::size_t mr, std::size_t nr, std::size_t gi0,
-    std::size_t gj0, bool triangular) {
-  micro_edge_body<4, 16, true>(kb, ap, bp, c, ldc, mr, nr, gi0, gj0,
-                               triangular);
-}
+// The microkernels hold the whole MR x NR tile of C in vector registers
+// for the K panel: MR rows of NR / lanes accumulators, one broadcast of
+// a[r] per row and k, and exactly one multiply-add per element and k, in
+// k order. Row loops are fully unrolled so every accumulator is a named
+// register, never a stack slot.
 
 // AVX-512+FMA: 6x32 tile = 12 zmm accumulators.
 [[gnu::target("avx512f,fma")]] void micro_avx512(std::size_t kb,
                                                  const float* ap,
                                                  const float* bp, float* c,
                                                  std::size_t ldc) {
-  micro_body<6, 32, true>(kb, ap, bp, c, ldc);
-}
-[[gnu::target("avx512f,fma")]] void micro_avx512_edge(
-    std::size_t kb, const float* ap, const float* bp, float* c,
-    std::size_t ldc, std::size_t mr, std::size_t nr, std::size_t gi0,
-    std::size_t gj0, bool triangular) {
-  micro_edge_body<6, 32, true>(kb, ap, bp, c, ldc, mr, nr, gi0, gj0,
-                               triangular);
+  __m512 acc[6][2];
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < 6; ++r) {
+    acc[r][0] = _mm512_loadu_ps(c + r * ldc);
+    acc[r][1] = _mm512_loadu_ps(c + r * ldc + 16);
+  }
+  for (std::size_t p = 0; p < kb; ++p, ap += 6, bp += 32) {
+    const __m512 b0 = _mm512_loadu_ps(bp);
+    const __m512 b1 = _mm512_loadu_ps(bp + 16);
+#pragma GCC unroll 6
+    for (std::size_t r = 0; r < 6; ++r) {
+      const __m512 a = _mm512_set1_ps(ap[r]);
+      acc[r][0] = _mm512_fmadd_ps(a, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(a, b1, acc[r][1]);
+    }
+  }
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < 6; ++r) {
+    _mm512_storeu_ps(c + r * ldc, acc[r][0]);
+    _mm512_storeu_ps(c + r * ldc + 16, acc[r][1]);
+  }
 }
 
-/// Picks the widest variant the host supports, once per process. KC is
-/// sized so one packed B micropanel (KC x NR floats) stays ~half-L1.
+// AVX2+FMA: 4x16 tile = 8 ymm accumulators.
+[[gnu::target("avx2,fma")]] void micro_avx2(std::size_t kb, const float* ap,
+                                            const float* bp, float* c,
+                                            std::size_t ldc) {
+  __m256 acc[4][2];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < 4; ++r) {
+    acc[r][0] = _mm256_loadu_ps(c + r * ldc);
+    acc[r][1] = _mm256_loadu_ps(c + r * ldc + 8);
+  }
+  for (std::size_t p = 0; p < kb; ++p, ap += 4, bp += 16) {
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + 8);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < 4; ++r) {
+      const __m256 a = _mm256_set1_ps(ap[r]);
+      acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < 4; ++r) {
+    _mm256_storeu_ps(c + r * ldc, acc[r][0]);
+    _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
+  }
+}
+
+// Baseline (SSE2): 6x8 tile = 12 xmm accumulators. No FMA in the
+// baseline ISA: a separate multiply then add, like the reference loops.
+void micro_sse2(std::size_t kb, const float* ap, const float* bp, float* c,
+                std::size_t ldc) {
+  __m128 acc[6][2];
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < 6; ++r) {
+    acc[r][0] = _mm_loadu_ps(c + r * ldc);
+    acc[r][1] = _mm_loadu_ps(c + r * ldc + 4);
+  }
+  for (std::size_t p = 0; p < kb; ++p, ap += 6, bp += 8) {
+    const __m128 b0 = _mm_loadu_ps(bp);
+    const __m128 b1 = _mm_loadu_ps(bp + 4);
+#pragma GCC unroll 6
+    for (std::size_t r = 0; r < 6; ++r) {
+      const __m128 a = _mm_set1_ps(ap[r]);
+      acc[r][0] = _mm_add_ps(acc[r][0], _mm_mul_ps(a, b0));
+      acc[r][1] = _mm_add_ps(acc[r][1], _mm_mul_ps(a, b1));
+    }
+  }
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < 6; ++r) {
+    _mm_storeu_ps(c + r * ldc, acc[r][0]);
+    _mm_storeu_ps(c + r * ldc + 4, acc[r][1]);
+  }
+}
+
+// KC is sized so one packed B micropanel (KC x NR floats) stays ~half-L1.
+constexpr KernelDesc kAvx512{"avx512", 6, 32, 96, 128, 512, micro_avx512};
+constexpr KernelDesc kAvx2{"avx2", 4, 16, 96, 256, 256, micro_avx2};
+constexpr KernelDesc kSse2{"sse2", 6, 8, 96, 256, 256, micro_sse2};
+/// Floats in the largest register tile (the staging buffer's size).
+constexpr std::size_t kMaxTile = std::max(
+    {kAvx512.mr * kAvx512.nr, kAvx2.mr * kAvx2.nr, kSse2.mr * kSse2.nr});
+
+/// The variants this host can run, widest first.
+std::vector<const KernelDesc*> host_kernels() {
+  std::vector<const KernelDesc*> out;
+  const bool fma = __builtin_cpu_supports("fma");
+  if (fma && __builtin_cpu_supports("avx512f")) out.push_back(&kAvx512);
+  if (fma && __builtin_cpu_supports("avx2")) out.push_back(&kAvx2);
+  out.push_back(&kSse2);
+  return out;
+}
+
+/// Set by GemmKernelOverride: the variant this thread's calls must use.
+thread_local const KernelDesc* t_forced_kernel = nullptr;
+
+/// The forced variant if any, else the widest the host supports (picked
+/// once per process).
 const KernelDesc& pick_kernel() {
-  static const KernelDesc desc = [] {
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
-      return KernelDesc{6, 32, 96, 128, 512, micro_avx512, micro_avx512_edge};
-    }
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return KernelDesc{4, 16, 96, 256, 256, micro_avx2, micro_avx2_edge};
-    }
-    return KernelDesc{6, 8, 96, 256, 256, micro_generic, micro_generic_edge};
-  }();
-  return desc;
+  if (t_forced_kernel != nullptr) return *t_forced_kernel;
+  static const KernelDesc* const widest = host_kernels().front();
+  return *widest;
 }
 
 /// Below this flop count the packing overhead dominates: use the naive
-/// reference loops instead.
+/// reference loops instead, unless a test forces a variant.
 constexpr std::size_t kSmallGemmFlops = 1UL << 15;
 /// Minimum per-call flop count before row blocks go to the pool.
 constexpr std::size_t kParallelFlops = 1UL << 21;
 
-/// Packs rows [i0, i1) x ks [p0, p1) of A into mr-row micropanels,
-/// scaling by alpha (exact identity for alpha == 1). Zero-pads to mr.
-void pack_a(const Panel& a, const KernelDesc& kd, std::size_t i0,
-            std::size_t i1, std::size_t p0, std::size_t p1, float alpha,
-            std::vector<float>& buf) {
-  const std::size_t mr = kd.mr;
+bool use_reference(std::size_t m, std::size_t n, std::size_t k) {
+  return t_forced_kernel == nullptr && m * n * k < kSmallGemmFlops;
+}
+
+/// Packs rows [i0, i1) x ks [p0, p1) of `src` into w-row micropanels
+/// (element (i, p) of panel t at [t * w * kb + p * w + r]), scaled by
+/// alpha (exact identity for alpha == 1) and zero-padded to w rows. The
+/// loop order follows the layout so reads stay stride-1: along k for a
+/// row-major operand, along the rows for a transposed one.
+void pack_panel(const Panel& src, std::size_t w, std::size_t i0,
+                std::size_t i1, std::size_t p0, std::size_t p1, float alpha,
+                std::vector<float>& buf) {
   const std::size_t kb = p1 - p0;
-  const std::size_t mtiles = (i1 - i0 + mr - 1) / mr;
-  buf.resize(std::max(buf.size(), mtiles * mr * kb));
-  for (std::size_t t = 0; t < mtiles; ++t) {
-    float* dst = buf.data() + t * mr * kb;
-    const std::size_t ibase = i0 + t * mr;
-    for (std::size_t p = 0; p < kb; ++p) {
-      for (std::size_t r = 0; r < mr; ++r) {
-        const std::size_t i = ibase + r;
-        dst[p * mr + r] = i < i1 ? alpha * a.at(i, p0 + p) : 0.0F;
+  const std::size_t tiles = (i1 - i0 + w - 1) / w;
+  buf.resize(std::max(buf.size(), tiles * w * kb));
+  for (std::size_t t = 0; t < tiles; ++t) {
+    float* dst = buf.data() + t * w * kb;
+    const std::size_t ibase = i0 + t * w;
+    const std::size_t rows = std::min(w, i1 - ibase);
+    if (src.trans) {
+      for (std::size_t p = 0; p < kb; ++p) {
+        const float* s = src.data + (p0 + p) * src.ld + ibase;
+        float* d = dst + p * w;
+        for (std::size_t r = 0; r < rows; ++r) d[r] = alpha * s[r];
+        for (std::size_t r = rows; r < w; ++r) d[r] = 0.0F;
+      }
+    } else {
+      for (std::size_t r = 0; r < rows; ++r) {
+        const float* s = src.data + (ibase + r) * src.ld + p0;
+        for (std::size_t p = 0; p < kb; ++p) dst[p * w + r] = alpha * s[p];
+      }
+      for (std::size_t r = rows; r < w; ++r) {
+        for (std::size_t p = 0; p < kb; ++p) dst[p * w + r] = 0.0F;
       }
     }
   }
 }
 
-/// Packs ks [p0, p1) x cols [j0, j1) of B into nr-column micropanels.
-void pack_b(const Panel& b, const KernelDesc& kd, std::size_t p0,
-            std::size_t p1, std::size_t j0, std::size_t j1,
-            std::vector<float>& buf) {
-  const std::size_t nr = kd.nr;
-  const std::size_t kb = p1 - p0;
-  const std::size_t ntiles = (j1 - j0 + nr - 1) / nr;
-  buf.resize(std::max(buf.size(), ntiles * nr * kb));
-  for (std::size_t t = 0; t < ntiles; ++t) {
-    float* dst = buf.data() + t * nr * kb;
-    const std::size_t jbase = j0 + t * nr;
-    for (std::size_t p = 0; p < kb; ++p) {
-      for (std::size_t c = 0; c < nr; ++c) {
-        const std::size_t j = jbase + c;
-        // b role: element (p, j) -> at(j, p) under the Panel convention
-        // (Panel::at takes (i, p) with i the non-k index).
-        dst[p * nr + c] = j < j1 ? b.at(j, p0 + p) : 0.0F;
-      }
+/// Runs a tile the full kernel cannot write in place: a partial one
+/// (mr x nr inside the MR x NR shape) or, in syrk mode, one crossing the
+/// diagonal. The valid part of C is staged in a zero-padded full tile,
+/// the full kernel runs on it, and only the valid elements are stored
+/// back, minus those below the diagonal in syrk mode. The padding rows
+/// and columns meet zeros from the packer, so every valid element sees
+/// the same chain as in a full tile.
+void run_staged(const KernelDesc& kd, std::size_t kb, const float* ap,
+                const float* bp, float* c, std::size_t ldc, std::size_t mr,
+                std::size_t nr, std::size_t gi, std::size_t gj,
+                bool triangular) {
+  alignas(64) float tile[kMaxTile] = {};
+  for (std::size_t r = 0; r < mr; ++r) {
+    std::copy_n(c + r * ldc, nr, tile + r * kd.nr);
+  }
+  kd.full(kb, ap, bp, tile, kd.nr);
+  for (std::size_t r = 0; r < mr; ++r) {
+    const std::size_t j0 = triangular && gi + r > gj ? gi + r - gj : 0;
+    if (j0 < nr) {
+      std::copy(tile + r * kd.nr + j0, tile + r * kd.nr + nr,
+                c + r * ldc + j0);
     }
   }
 }
@@ -269,7 +275,7 @@ void run_row_block(const BlockArgs& ba, std::size_t i0, std::size_t i1) {
   // syrk: the whole row block lies strictly below the diagonal band.
   if (ba.triangular && ba.j1 <= i0) return;
   const KernelDesc& kd = *ba.kd;
-  pack_a(ba.a, kd, i0, i1, ba.p0, ba.p1, ba.alpha, t_apack);
+  pack_panel(ba.a, kd.mr, i0, i1, ba.p0, ba.p1, ba.alpha, t_apack);
   const std::size_t kb = ba.p1 - ba.p0;
   const std::size_t nb = ba.j1 - ba.j0;
   const std::size_t ntiles = (nb + kd.nr - 1) / kd.nr;
@@ -287,7 +293,8 @@ void run_row_block(const BlockArgs& ba, std::size_t i0, std::size_t i1) {
           !(ba.triangular && gj < gi + kd.mr)) {
         kd.full(kb, ap, bp, ctile, ba.ldc);
       } else {
-        kd.edge(kb, ap, bp, ctile, ba.ldc, mr, nr, gi, gj, ba.triangular);
+        run_staged(kd, kb, ap, bp, ctile, ba.ldc, mr, nr, gi, gj,
+                   ba.triangular);
       }
     }
   }
@@ -310,7 +317,7 @@ void gemm_driver(const Panel& a, const Panel& b, float* c, std::size_t m,
     const std::size_t j1 = std::min(jc + kd.nc, n);
     for (std::size_t pc = 0; pc < k; pc += kd.kc) {
       const std::size_t p1 = std::min(pc + kd.kc, k);
-      pack_b(b, kd, pc, p1, jc, j1, t_bpack);
+      pack_panel(b, kd.nr, jc, j1, pc, p1, 1.0F, t_bpack);
       BlockArgs ba{a, &kd, t_bpack.data(), c, n, pc, p1, jc, j1, alpha,
                    triangular};
       auto ranges = [&ba, &kd, m](std::size_t b0, std::size_t b1) {
@@ -327,8 +334,23 @@ void gemm_driver(const Panel& a, const Panel& b, float* c, std::size_t m,
   }
 }
 
-std::size_t flops_of(std::size_t m, std::size_t n, std::size_t k) {
-  return m * n * k;
+/// Copies the upper triangle of the square `c` into the lower one, in
+/// square blocks so the strided column writes stay in cache.
+void mirror_upper(Tensor& c) {
+  constexpr std::size_t kBlock = 8;
+  const std::size_t d = c.rows();
+  float* m = c.data();
+  for (std::size_t ib = 0; ib < d; ib += kBlock) {
+    const std::size_t i1 = std::min(ib + kBlock, d);
+    for (std::size_t jb = ib; jb < d; jb += kBlock) {
+      const std::size_t j1 = std::min(jb + kBlock, d);
+      for (std::size_t i = ib; i < i1; ++i) {
+        for (std::size_t j = std::max(jb, i + 1); j < j1; ++j) {
+          m[j * d + i] = m[i * d + j];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -339,6 +361,28 @@ void set_math_pool(common::ThreadPool* pool) noexcept {
 
 common::ThreadPool* math_pool() noexcept {
   return g_math_pool.load(std::memory_order_acquire);
+}
+
+std::vector<std::string> gemm_kernel_variants() {
+  std::vector<std::string> names;
+  for (const KernelDesc* kd : host_kernels()) names.emplace_back(kd->name);
+  return names;
+}
+
+GemmKernelOverride::GemmKernelOverride(std::string_view variant)
+    : prev_(t_forced_kernel) {
+  for (const KernelDesc* kd : host_kernels()) {
+    if (variant == kd->name) {
+      t_forced_kernel = kd;
+      return;
+    }
+  }
+  throw std::invalid_argument("GemmKernelOverride: unknown variant " +
+                              std::string(variant));
+}
+
+GemmKernelOverride::~GemmKernelOverride() {
+  t_forced_kernel = static_cast<const KernelDesc*>(prev_);
 }
 
 void ensure_shape2(Tensor& t, std::size_t rows, std::size_t cols) {
@@ -435,10 +479,7 @@ void syrk_tn_reference(const Tensor& a, float alpha, float beta, Tensor& c) {
       for (std::size_t j = i; j < d; ++j) crow[j] += av * row[j];
     }
   }
-  // Mirror the upper triangle into the lower one.
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) c.at(j, i) = c.at(i, j);
-  }
+  mirror_upper(c);
 }
 
 // --- blocked production kernels --------------------------------------------
@@ -448,7 +489,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
   check2(b, "gemm B");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (b.rows() != k) throw std::invalid_argument("gemm: inner dim mismatch");
-  if (flops_of(m, n, k) < kSmallGemmFlops) {
+  if (use_reference(m, n, k)) {
     gemm_reference(a, b, c);
     return;
   }
@@ -466,7 +507,7 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   check2(b, "gemm_tn B");
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   if (b.rows() != k) throw std::invalid_argument("gemm_tn: inner dim mismatch");
-  if (flops_of(m, n, k) < kSmallGemmFlops) {
+  if (use_reference(m, n, k)) {
     gemm_tn_reference(a, b, c);
     return;
   }
@@ -484,7 +525,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   check2(b, "gemm_nt B");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   if (b.cols() != k) throw std::invalid_argument("gemm_nt: inner dim mismatch");
-  if (flops_of(m, n, k) < kSmallGemmFlops) {
+  if (use_reference(m, n, k)) {
     gemm_nt_reference(a, b, c);
     return;
   }
@@ -500,7 +541,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
 void syrk_tn(const Tensor& a, float alpha, float beta, Tensor& c) {
   check2(a, "syrk_tn A");
   const std::size_t n = a.rows(), d = a.cols();
-  if (flops_of(d, d, n) < kSmallGemmFlops) {
+  if (use_reference(d, d, n)) {
     syrk_tn_reference(a, alpha, beta, c);
     return;
   }
@@ -513,9 +554,7 @@ void syrk_tn(const Tensor& a, float alpha, float beta, Tensor& c) {
   // the reference's `(alpha * row[i]) * row[j]` operation order exactly.
   gemm_driver({a.data(), d, true}, {a.data(), d, true}, c.data(), d, d, n,
               alpha, true);
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) c.at(j, i) = c.at(i, j);
-  }
+  mirror_upper(c);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -551,15 +590,6 @@ void add_diagonal(Tensor& a, float value) {
   check2(a, "add_diagonal");
   const std::size_t n = std::min(a.rows(), a.cols());
   for (std::size_t i = 0; i < n; ++i) a.at(i, i) += value;
-}
-
-double dot(const Tensor& a, const Tensor& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
 }
 
 }  // namespace compso::tensor

@@ -3,18 +3,24 @@
 //
 // The production kernels (gemm / gemm_tn / gemm_nt / syrk_tn) are lowered
 // onto one cache-blocked, packed-panel microkernel (DESIGN.md §11): A and
-// B tiles are copied into contiguous panels, an MR x NR register tile
-// accumulates over the K panel, and the compiler vectorizes the NR lane
-// loop. Output row blocks can additionally run in parallel on a shared
-// ThreadPool (set_math_pool) via the deterministic static partitioner —
-// every output element keeps its serial accumulation order (k ascending,
-// single accumulator), so results are bit-identical at any thread count.
+// B tiles are copied into contiguous panels, and an MR x NR tile of C
+// stays in vector registers while an intrinsics microkernel accumulates
+// it over the K panel. Output row blocks can additionally run in parallel
+// on a shared ThreadPool (set_math_pool) via the deterministic static
+// partitioner — every output element keeps its serial accumulation order
+// (k ascending, single accumulator), so results are bit-identical at any
+// thread count.
 //
 // The original naive kernels are retained as *_reference oracles: the
 // property tests and the math micro-benchmark compare the blocked engine
-// against them (bitwise — same per-element operation sequence).
+// against them, to accumulation tolerance where the microkernel fuses
+// its multiply-adds.
 
 #include "src/tensor/tensor.hpp"
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace compso::common {
 class ThreadPool;
@@ -70,6 +76,27 @@ void gemm_tn_reference(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c);
 void syrk_tn_reference(const Tensor& a, float alpha, float beta, Tensor& c);
 
+/// Test seam, like eigh_unsorted: the names of the compiled microkernel
+/// variants this host can run, widest first ("avx512", "avx2", "sse2").
+/// The production kernels use the first.
+std::vector<std::string> gemm_kernel_variants();
+
+/// Test seam: while alive, gemm / gemm_tn / gemm_nt / syrk_tn called on
+/// this thread run the named variant through the blocked driver, even
+/// below the small-op cutoff, so every variant can be checked on one
+/// host. Throws std::invalid_argument for a name gemm_kernel_variants()
+/// does not list.
+class GemmKernelOverride {
+ public:
+  explicit GemmKernelOverride(std::string_view variant);
+  ~GemmKernelOverride();
+  GemmKernelOverride(const GemmKernelOverride&) = delete;
+  GemmKernelOverride& operator=(const GemmKernelOverride&) = delete;
+
+ private:
+  const void* prev_;
+};
+
 /// Returns A * B (allocating).
 Tensor matmul(const Tensor& a, const Tensor& b);
 
@@ -81,9 +108,6 @@ void gemv(const Tensor& a, std::span<const float> x, std::span<float> y);
 
 /// Adds `value` to the diagonal of square matrix A (Tikhonov damping).
 void add_diagonal(Tensor& a, float value);
-
-/// Frobenius inner product <A, B>.
-double dot(const Tensor& a, const Tensor& b);
 
 /// Reshapes `t` to (rows x cols), reallocating only when the shape
 /// actually differs — scratch-reuse helper for per-step workspaces.

@@ -3,7 +3,8 @@
 // determinism of the pool-parallel path at several thread counts, NaN/Inf
 // propagation through the kernels (no zero-skip), the tridiagonal-QL eigh
 // against the Jacobi oracle and bit for bit against the scalar QL loops
-// it vectorizes, non-convergence reporting, and the
+// it vectorizes, every compiled gemm microkernel variant bit for bit
+// against a scalar chain oracle, non-convergence reporting, and the
 // scratch-reuse helper. The parallel suites run under TSan via ci.sh's
 // build-tsan config.
 
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -664,6 +666,10 @@ void expect_same_bits(const std::vector<T>& got, const std::vector<T>& want,
   }
 }
 
+std::vector<float> flat(const ct::Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.size());
+}
+
 /// eigh agrees with the oracle bit for bit twice over: in double
 /// precision before the sort (where a reordered sum or a fused
 /// multiply-add shows; rounding to float would hide most of them) and in
@@ -682,9 +688,6 @@ void expect_bit_identical_to_oracle(const ct::Tensor& m,
   EXPECT_EQ(got.sweeps_used, ref.sweeps_used) << what;
   EXPECT_EQ(got.converged, ref.converged) << what;
   expect_same_bits(got.eigenvalues, ref.eigenvalues, what + " eigenvalues");
-  const auto flat = [](const ct::Tensor& t) {
-    return std::vector<float>(t.data(), t.data() + t.size());
-  };
   expect_same_bits(flat(got.eigenvectors), flat(ref.eigenvectors),
                    what + " eigenvectors");
 }
@@ -725,6 +728,149 @@ TEST(Eigh, BitIdenticalToScalarQl) {
         expect_bit_identical_to_oracle(
             m, "bad=" + std::to_string(bad) + " n=" + std::to_string(n) +
                    " at=" + std::to_string(at));
+      }
+    }
+  }
+}
+
+// --- every compiled gemm microkernel vs a scalar chain oracle ---
+//
+// Each C element is one k-ascending chain from its initial value:
+// std::fma(a, b, acc) per k for the FMA variants, acc + a * b for SSE2
+// (this file builds with -ffp-contract=off, so the multiply and the add
+// stay separate). GemmKernelOverride runs each variant the host can
+// execute through the blocked driver, below the small-op cutoff too, so
+// all of them are checked bit for bit on one host.
+
+/// C = init + sum_p a(i, p) * b(p, j), one rounding per fused step or
+/// two per unfused one, p ascending.
+template <typename AFn, typename BFn>
+std::vector<float> chain_oracle(bool fused, std::size_t m, std::size_t n,
+                                std::size_t k, const std::vector<float>& init,
+                                AFn a, BFn b) {
+  std::vector<float> c = init;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        acc = fused ? std::fma(a(i, p), b(p, j), acc) : acc + a(i, p) * b(p, j);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+/// Puts NaN and +-Inf into `t` (row 0 is zero, so 0 * Inf appears too).
+void poison(ct::Tensor& t) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t j = 0; j < t.cols(); ++j) t.at(0, j) = 0.0F;
+  t.at(t.rows() - 1, t.cols() / 2) = nan;
+  t.at(t.rows() / 2, t.cols() - 1) = inf;
+  t.at(t.rows() - 1, 0) = -inf;
+}
+
+void expect_gemms_match_oracle(bool fused, std::size_t m, std::size_t n,
+                               std::size_t k, bool poisoned,
+                               std::uint64_t seed, const std::string& what) {
+  auto a = rand2(m, k, seed);       // (m x k) for gemm / gemm_nt.
+  auto at = rand2(k, m, seed + 1);  // (k x m) for gemm_tn.
+  auto b = rand2(k, n, seed + 2);   // (k x n) for gemm / gemm_tn.
+  auto bt = rand2(n, k, seed + 3);  // (n x k) for gemm_nt.
+  if (poisoned) {
+    poison(a);
+    poison(at);
+    poison(b);
+    poison(bt);
+  }
+  const std::vector<float> zero(m * n, 0.0F);
+  const auto bkn = [&](std::size_t p, std::size_t j) { return b.at(p, j); };
+  ct::Tensor c;
+  ct::gemm(a, b, c);
+  const auto want = chain_oracle(
+      fused, m, n, k, zero,
+      [&](std::size_t i, std::size_t p) { return a.at(i, p); }, bkn);
+  if (poisoned) {
+    ASSERT_TRUE(std::any_of(want.begin(), want.end(),
+                            [](float v) { return std::isnan(v); }))
+        << what;
+  }
+  expect_same_bits(flat(c), want, what + " gemm");
+  ct::gemm_tn(at, b, c);
+  expect_same_bits(
+      flat(c),
+      chain_oracle(fused, m, n, k, zero,
+                   [&](std::size_t i, std::size_t p) { return at.at(p, i); },
+                   bkn),
+      what + " gemm_tn");
+  ct::gemm_nt(a, bt, c);
+  expect_same_bits(
+      flat(c),
+      chain_oracle(fused, m, n, k, zero,
+                   [&](std::size_t i, std::size_t p) { return a.at(i, p); },
+                   [&](std::size_t p, std::size_t j) { return bt.at(j, p); }),
+      what + " gemm_nt");
+}
+
+void expect_syrk_matches_oracle(bool fused, std::size_t d, std::size_t n,
+                                bool poisoned, std::uint64_t seed,
+                                const std::string& what) {
+  const float alpha = 0.7F, beta = 0.4F;
+  auto a = rand2(n, d, seed);
+  if (poisoned) poison(a);
+  ct::Tensor c = random_symmetric(d, seed + 1);
+  std::vector<float> init = flat(c);
+  for (float& v : init) v *= beta;
+  std::vector<float> want = chain_oracle(
+      fused, d, d, n, init,
+      [&](std::size_t i, std::size_t p) { return alpha * a.at(p, i); },
+      [&](std::size_t p, std::size_t j) { return a.at(p, j); });
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = 0; j < i; ++j) want[i * d + j] = want[j * d + i];
+  }
+  ct::syrk_tn(a, alpha, beta, c);
+  expect_same_bits(flat(c), want, what + " syrk_tn");
+}
+
+TEST(Gemm, VariantsBitIdenticalToScalarChain) {
+  const std::vector<std::string> variants = ct::gemm_kernel_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.back(), "sse2");  // the baseline runs everywhere.
+  EXPECT_THROW(ct::GemmKernelOverride("no-such-isa"), std::invalid_argument);
+  // (m, n, k): single elements and edge tiles of every variant's MR x NR
+  // (4x16, 6x8, 6x32), MC = 96 +- 1 rows, KC = 128 / 256 +- 1 depths and
+  // NC = 256 / 512 +- 1 columns.
+  const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>
+      shapes = {{1, 1, 1},      {3, 5, 2},      {4, 16, 7},
+                {6, 32, 9},     {7, 33, 3},     {95, 17, 127},
+                {97, 31, 129},  {96, 40, 128},  {5, 255, 255},
+                {9, 257, 257},  {13, 511, 64},  {2, 513, 33},
+                {193, 65, 130}};
+  // (d, n): syrk tiles crossing the diagonal at every tile shape, and row
+  // blocks past the band.
+  const std::vector<std::pair<std::size_t, std::size_t>> syrk_shapes = {
+      {1, 1}, {5, 3}, {33, 7}, {97, 129}, {130, 64}, {257, 31}};
+  for (const std::string& variant : variants) {
+    ct::GemmKernelOverride use(variant);
+    const bool fused = variant != "sse2";
+    std::uint64_t seed = 1300;
+    for (const auto& [m, n, k] : shapes) {
+      for (const bool poisoned : {false, true}) {
+        if (poisoned && (m < 2 || n < 2 || k < 2)) continue;
+        expect_gemms_match_oracle(
+            fused, m, n, k, poisoned, seed += 4,
+            variant + (poisoned ? " poisoned " : " ") + std::to_string(m) +
+                "x" + std::to_string(n) + "x" + std::to_string(k));
+      }
+    }
+    for (const auto& [d, n] : syrk_shapes) {
+      for (const bool poisoned : {false, true}) {
+        if (poisoned && (d < 2 || n < 2)) continue;
+        expect_syrk_matches_oracle(
+            fused, d, n, poisoned, seed += 2,
+            variant + (poisoned ? " poisoned" : "") +
+                " d=" + std::to_string(d) + " n=" + std::to_string(n));
       }
     }
   }
