@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
+#include <cstring>
 #include <stdexcept>
 
 namespace compso::codec {
@@ -211,9 +211,20 @@ void rans_encode_into(ByteView input, Bytes& out) {
   }
   for (const std::uint32_t s : {s0, s1, s2, s3}) detail::append_u32(out, s);
   // Payload was produced back-to-front; store reversed so decode reads
-  // forward with push-back semantics preserved.
-  out.insert(out.end(), std::make_reverse_iterator(pp + pn),
-             std::make_reverse_iterator(pp));
+  // forward with push-back semantics preserved. Reversed 8 bytes at a
+  // time (a byte swap of each word, taken from the back) into the space
+  // reserved above, not byte by byte through a reverse iterator.
+  const std::size_t at = out.size();
+  out.resize(at + pn);
+  std::uint8_t* dst = out.data() + at;
+  std::size_t k = 0;
+  for (; k + 8 <= pn; k += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, pp + pn - k - 8, sizeof(w));
+    w = __builtin_bswap64(w);
+    std::memcpy(dst + k, &w, sizeof(w));
+  }
+  for (; k < pn; ++k) dst[k] = pp[pn - 1 - k];
   detail::seal_frame_at(out, frame_begin);
 }
 

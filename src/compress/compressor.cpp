@@ -1,5 +1,9 @@
 #include "src/compress/compressor.hpp"
 
+#include "src/common/payload_error.hpp"
+
+#include <stdexcept>
+
 namespace compso::compress {
 
 double GradientCompressor::compression_ratio(std::span<const float> values,
@@ -9,6 +13,27 @@ double GradientCompressor::compression_ratio(std::span<const float> values,
   if (payload.empty()) return 1.0;
   return static_cast<double>(values.size() * sizeof(float)) /
          static_cast<double>(payload.size());
+}
+
+void GradientCompressor::compress_feedback_into(
+    std::span<const float> values, std::span<const float> residual,
+    tensor::Rng& rng, Bytes& out, std::span<float> residual_out) const {
+  const std::size_t n = values.size();
+  if (residual.size() != n || residual_out.size() != n) {
+    throw std::invalid_argument(
+        "compress_feedback_into: residual size mismatch");
+  }
+  thread_local std::vector<float> c;
+  thread_local std::vector<float> decoded;
+  c.resize(n);
+  for (std::size_t i = 0; i < n; ++i) c[i] = values[i] + residual[i];
+  compress_into(c, rng, out);
+  decompress_into(out, decoded);
+  if (decoded.size() != n) {
+    throw PayloadError(
+        "error-feedback: inner compressor round-trip changed element count");
+  }
+  for (std::size_t i = 0; i < n; ++i) residual_out[i] = c[i] - decoded[i];
 }
 
 double GradientCompressor::modeled_throughput(

@@ -67,18 +67,18 @@ class GradientCompressor {
     out = decompress(payload);
   }
 
-  /// compress_into plus the values its payload decodes to: `recon` ends
-  /// up bit-identical to decompress_into(out), and the call throws the
-  /// PayloadError that decompress_into would throw on `out`. Error
-  /// feedback needs both halves. The default runs the two calls; COMPSO
-  /// overrides it to write `recon` from its quantizer state, with no
-  /// decode.
-  virtual void compress_reconstruct_into(std::span<const float> values,
-                                         tensor::Rng& rng, Bytes& out,
-                                         std::vector<float>& recon) const {
-    compress_into(values, rng, out);
-    decompress_into(out, recon);
-  }
+  /// Error feedback's compress (DESIGN.md §17): compresses c = values +
+  /// residual into `out` and writes residual_out = c − decode(out), bit
+  /// for bit what decompress_into(out) would give. `residual` and
+  /// `residual_out` have values' size. Throws the
+  /// PayloadError decompress_into would throw on `out`. The default
+  /// materializes c, runs compress_into, then decompress_into. COMPSO
+  /// overrides it with one fused pass that forms c on the fly and writes
+  /// e' from its codes, with no decode.
+  virtual void compress_feedback_into(std::span<const float> values,
+                                      std::span<const float> residual,
+                                      tensor::Rng& rng, Bytes& out,
+                                      std::span<float> residual_out) const;
 
   /// GPU execution shape (see GpuProfile).
   virtual GpuProfile gpu_profile() const noexcept = 0;
@@ -206,10 +206,10 @@ std::unique_ptr<GradientCompressor> make_topk(double keep_fraction);
 std::unique_ptr<GradientCompressor> make_identity();
 
 /// Error-feedback wrapper over any compressor (DESIGN.md §17): sends
-/// C(g + e), keeps e' = (g + e) - Ĉ(g + e) per stream, with Ĉ from
-/// compress_reconstruct_into. The
-/// concrete class lives in error_feedback.hpp; this factory builds it
-/// from any inner compressor (including COMPSO itself).
+/// C(g + e), keeps e' = (g + e) - Ĉ(g + e) per stream, both from one
+/// compress_feedback_into call. The concrete class lives in
+/// error_feedback.hpp; this factory builds it from any inner compressor
+/// (including COMPSO itself).
 std::unique_ptr<GradientCompressor> make_error_feedback(
     std::unique_ptr<GradientCompressor> inner);
 

@@ -65,8 +65,8 @@ struct DecodedHeader {
   bool filtered = false;
 };
 
-/// The header checks on fields the encoder chooses itself; compress-side
-/// reconstruction runs them too, so it throws what decode would.
+/// The header checks on fields the encoder chooses itself; the fused
+/// error-feedback compress runs them too, so it throws what decode would.
 void check_count(std::uint64_t count) {
   if (count > codec::wire::kMaxElementCount) {
     throw PayloadError("COMPSO: element count out of range");
@@ -121,19 +121,22 @@ class CompsoCompressor final : public GradientCompressor {
 
   void compress_into(std::span<const float> values, tensor::Rng& rng,
                      Bytes& out) const override {
-    encode(values, rng, out);
+    encode(values, {}, rng, out, {});
   }
 
-  /// Error feedback's Ĉ(g + e) without a decode: the fused pass's codes,
-  /// bitmap and step already determine what the payload decodes to.
-  void compress_reconstruct_into(std::span<const float> values,
-                                 tensor::Rng& rng, Bytes& out,
-                                 std::vector<float>& recon) const override {
-    const quant::FusedEncodeInfo info = encode(values, rng, out);
-    check_count(values.size());
-    check_step(info.step);
-    recon.resize(values.size());
-    quant::fused_reconstruct(info, tls_scratch(), recon);
+  /// Error feedback as the same fused pass: c = g + e is formed on the
+  /// fly and e' is written from the pass's codes and step — what the
+  /// payload decodes to, with no decode and no c buffer.
+  void compress_feedback_into(std::span<const float> values,
+                              std::span<const float> residual,
+                              tensor::Rng& rng, Bytes& out,
+                              std::span<float> residual_out) const override {
+    if (residual.size() != values.size() ||
+        residual_out.size() != values.size()) {
+      throw std::invalid_argument(
+          "compress_feedback_into: residual size mismatch");
+    }
+    encode(values, residual, rng, out, residual_out);
   }
 
   std::size_t max_payload_bytes(std::size_t values) const noexcept override {
@@ -224,17 +227,24 @@ class CompsoCompressor final : public GradientCompressor {
   }
 
  private:
-  /// The fused compress pipeline; leaves the pass's codes and bitmap in
-  /// this thread's scratch for compress_reconstruct_into.
-  quant::FusedEncodeInfo encode(std::span<const float> values,
-                                tensor::Rng& rng, Bytes& out) const {
+  /// The fused compress pipeline over c = values + residual (c = values
+  /// when both residual spans are empty). With a residual it first runs
+  /// the header checks decode would run on the payload, so it throws what
+  /// decompress_into would throw before it writes anything.
+  void encode(std::span<const float> values, std::span<const float> residual,
+              tensor::Rng& rng, Bytes& out,
+              std::span<float> residual_out) const {
     const std::size_t n = values.size();
-    const double abs_max = quant::extrema_blockwise(values).abs_max;
+    const double abs_max = quant::extrema_blockwise(values, residual).abs_max;
+    if (!residual.empty()) {
+      check_count(n);
+      check_step(2.0 * params_.quant_bound * abs_max);
+    }
     quant::FusedScratch& scratch = tls_scratch();
 
     const quant::FusedEncodeInfo info = quant::fused_filter_quantize(
-        values, params_.filter_bound, params_.quant_bound, params_.use_filter,
-        abs_max, quant::RoundingMode::kStochastic, rng, scratch);
+        values, residual, params_.filter_bound, params_.quant_bound,
+        params_.use_filter, abs_max, rng, scratch, residual_out);
     quant::pack_scratch_codes(info, scratch);
 
     // Exact upper bound on the payload: fixed fields plus one codec frame
@@ -264,7 +274,6 @@ class CompsoCompressor final : public GradientCompressor {
     }
     codec_->encode_into(scratch.packed, out);
     codec::wire::seal_payload(out);
-    return info;
   }
 
   static quant::FusedScratch& tls_scratch() {

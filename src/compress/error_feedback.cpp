@@ -61,30 +61,27 @@ void ErrorFeedbackCompressor::compress_stream_into(
     const std::lock_guard<std::mutex> lock(mu_);
     st = &state_locked(stream);
   }
-  if (st->residual.size() != values.size()) {
+  const std::size_t n = values.size();
+  if (st->residual.size() != n) {
     // Shape changed under the stream id (fresh stream, or a layer was
     // re-partitioned): stale error is meaningless, start from zero.
-    st->residual.assign(values.size(), 0.0f);
+    st->residual.assign(n, 0.0f);
   }
-  st->snapshot = st->residual;
+  // Double buffer: e' goes into the spare buffer, and the swap below makes
+  // the pre-compress residual the rollback snapshot with no copy.
+  st->snapshot.resize(n);
+  try {
+    inner_->compress_feedback_into(values, st->residual, rng, out,
+                                   st->snapshot);
+  } catch (...) {
+    // The residual is untouched; leave the state a failed compress always
+    // left: snapshot == residual, armed.
+    st->snapshot = st->residual;
+    st->rollback_armed = true;
+    throw;
+  }
+  std::swap(st->residual, st->snapshot);
   st->rollback_armed = true;
-
-  thread_local std::vector<float> compensated;
-  compensated.resize(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    compensated[i] = values[i] + st->residual[i];
-  }
-  // Ĉ(g + e) comes with the payload: COMPSO writes it from its quantizer
-  // state instead of decoding the bytes it just encoded.
-  thread_local std::vector<float> decoded;
-  inner_->compress_reconstruct_into(compensated, rng, out, decoded);
-  if (decoded.size() != compensated.size()) {
-    throw PayloadError(
-        "error-feedback: inner compressor round-trip changed element count");
-  }
-  for (std::size_t i = 0; i < compensated.size(); ++i) {
-    st->residual[i] = compensated[i] - decoded[i];
-  }
 }
 
 void ErrorFeedbackCompressor::notify_fallback(

@@ -9,10 +9,14 @@
 // residual per slot). The payload on the wire is the inner compressor's
 // payload, unchanged — decompress/validation/max_payload_bytes all
 // delegate — so the chunked pipeline, fuzz contract, and recovery ladder
-// see a normal inner-format frame.
+// see a normal inner-format frame. Payload and e' come from one
+// compress_feedback_into call; COMPSO's override is its fused pass, so EF
+// over COMPSO runs no decode and no separate g + e sweep.
 //
 // Residual lifecycle (the part the recovery ladder cares about):
-//  - compress_stream_into snapshots the residual before updating it;
+//  - compress_stream_into writes e' into the stream's spare buffer and
+//    swaps it in, so the pre-compress residual becomes the snapshot
+//    without a copy;
 //  - notify_fallback (decode-retry ladder exhausted, transport resent the
 //    raw gradient) rolls the residual back to the snapshot, because the
 //    fallback delivered the *full* gradient — keeping the post-compress
@@ -87,7 +91,9 @@ class ErrorFeedbackCompressor final : public GradientCompressor,
  private:
   struct StreamState {
     std::vector<float> residual;  ///< error still owed to the wire.
-    std::vector<float> snapshot;  ///< residual before the last compress.
+    /// Residual before the last compress; also the spare buffer the next
+    /// compress writes e' into before the two swap.
+    std::vector<float> snapshot;
     bool rollback_armed = false;  ///< snapshot valid until next compress.
   };
 

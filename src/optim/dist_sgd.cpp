@@ -3,7 +3,7 @@
 #include "src/codec/ckpt.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -45,6 +45,20 @@ void for_each_range(compress::CompressionEngine& eng, std::size_t n,
   eng.run_batch(std::move(jobs));
 }
 
+/// Like for_each_range, for range jobs that report a flag: returns true
+/// when fn(lo, hi) returned true for every range.
+template <typename Fn>
+bool all_ranges(compress::CompressionEngine& eng, std::size_t n,
+                const Fn& fn) {
+  std::vector<std::uint8_t> ok((n + kTailRangeElems - 1) / kTailRangeElems,
+                               1);
+  for_each_range(eng, n, [&](std::size_t lo, std::size_t hi) {
+    ok[lo / kTailRangeElems] = fn(lo, hi) ? 1 : 0;
+  });
+  return std::all_of(ok.begin(), ok.end(),
+                     [](std::uint8_t v) { return v != 0; });
+}
+
 /// The [lo, hi) part of the SGD update W|b -= lr * update[i].
 void apply_flat_update(nn::Layer& layer, std::span<const float> update,
                        double lr, std::size_t lo, std::size_t hi) {
@@ -58,11 +72,15 @@ void apply_flat_update(nn::Layer& layer, std::span<const float> update,
   }
 }
 
+/// True when no value is NaN or ±Inf: one branch-free OR over the
+/// exponent test, so the scan vectorizes.
 bool all_finite(std::span<const float> values) noexcept {
-  for (float v : values) {
-    if (!std::isfinite(v)) return false;
+  std::uint32_t bad = 0;
+  for (const float v : values) {
+    bad |= static_cast<std::uint32_t>(
+        (std::bit_cast<std::uint32_t>(v) & 0x7F800000U) == 0x7F800000U);
   }
-  return true;
+  return bad == 0;
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -107,28 +125,64 @@ DistSgd::DistSgd(DistSgdConfig config, comm::Communicator& comm,
   consecutive_failures_.assign(layer_indices_.size(), 0);
 }
 
-void DistSgd::average_decoded(std::size_t n, std::vector<float>& averaged) {
+bool DistSgd::average_decoded(std::size_t n) {
   std::vector<const float*> recs;
   for (std::size_t r = 0; r < comm_.world_size(); ++r) {
     if (comm_.is_participating(r)) recs.push_back(decode_bufs_[r].data());
   }
   const auto active = static_cast<float>(recs.size());
-  averaged.resize(n);
+  averaged_.resize(n);
   // Per element: start from 0, add every participant's value / active in
-  // rank order — the float sum is the same whatever the range split.
-  for_each_range(engine(), n, [&](std::size_t lo, std::size_t hi) {
-    std::fill(averaged.begin() + static_cast<std::ptrdiff_t>(lo),
-              averaged.begin() + static_cast<std::ptrdiff_t>(hi), 0.0F);
+  // rank order — the float sum is the same whatever the range split. The
+  // non-finite guard's scan rides the same range while it is in cache.
+  return all_ranges(engine(), n, [&](std::size_t lo, std::size_t hi) {
+    std::fill(averaged_.begin() + static_cast<std::ptrdiff_t>(lo),
+              averaged_.begin() + static_cast<std::ptrdiff_t>(hi), 0.0F);
     for (const float* rec : recs) {
-      for (std::size_t i = lo; i < hi; ++i) averaged[i] += rec[i] / active;
+      for (std::size_t i = lo; i < hi; ++i) averaged_[i] += rec[i] / active;
     }
+    return all_finite(std::span<const float>(averaged_).subspan(lo, hi - lo));
   });
 }
 
-bool DistSgd::chunked_average(
-    std::size_t slot, std::size_t n, const std::vector<compress::Bytes>& send,
-    const compress::GradientCompressor& compressor,
-    std::vector<float>& averaged) {
+bool DistSgd::average_reduced(std::size_t slot, std::size_t n) {
+  const std::vector<float>& sum = step_grads_[slot][comm_.first_participant()];
+  const auto active = static_cast<float>(comm_.participant_count());
+  averaged_.resize(n);
+  return all_ranges(engine(), n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) averaged_[i] = sum[i] / active;
+    return all_finite(std::span<const float>(averaged_).subspan(lo, hi - lo));
+  });
+}
+
+void DistSgd::count_payload_bytes(std::size_t slot) {
+  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
+    if (comm_.is_participating(r)) {
+      comp_bytes_ += send_payloads_[slot][r].size();
+    }
+  }
+}
+
+void DistSgd::count_retry(const char* event) {
+  ++comm_.recovery().decode_retries;
+  comm_.obs().count("recovery.decode_retries");
+  comm_.obs().instant(obs::kMainTrack, event, "recovery");
+}
+
+void DistSgd::count_decode_failure(std::size_t slot) {
+  ++comm_.recovery().decode_failures;
+  comm_.obs().count("recovery.decode_failures");
+  if (++consecutive_failures_[slot] >= policy_.fallback_after &&
+      degraded_[slot] == 0) {
+    degraded_[slot] = 1;
+    ++comm_.recovery().degraded_layers;
+    comm_.obs().count("recovery.degraded_layers");
+  }
+}
+
+bool DistSgd::chunked_average(std::size_t slot, std::size_t n,
+                              const compress::GradientCompressor& compressor) {
+  const std::vector<compress::Bytes>& send = send_payloads_[slot];
   const std::size_t world = comm_.world_size();
   const std::size_t active = comm_.participant_count();
   const std::size_t chunkb = cfg_.chunk_bytes;
@@ -188,124 +242,163 @@ bool DistSgd::chunked_average(
         round_ok = true;
       } catch (const PayloadError&) {
         if (!policy_.enabled) throw;
-        if (attempt + 1 < attempts) {
-          ++comm_.recovery().decode_retries;
-          comm_.obs().count("recovery.decode_retries");
-          comm_.obs().instant(obs::kMainTrack, "chunk.retry", "recovery");
-        }
+        if (attempt + 1 < attempts) count_retry("chunk.retry");
       }
     }
     if (!round_ok) {
-      ++comm_.recovery().decode_failures;
-      comm_.obs().count("recovery.decode_failures");
-      if (++consecutive_failures_[slot] >= policy_.fallback_after &&
-          degraded_[slot] == 0) {
-        degraded_[slot] = 1;
-        ++comm_.recovery().degraded_layers;
-        comm_.obs().count("recovery.degraded_layers");
-      }
+      count_decode_failure(slot);
       return false;
     }
   }
 
   // Decode the reassembled payloads (bit-identical to the unchunked send
-  // bytes) as one engine batch, then accumulate in rank order.
+  // bytes) as one engine batch.
   try {
     std::vector<std::function<void()>> jobs;
     jobs.reserve(active);
     for (std::size_t r = 0; r < world; ++r) {
       if (!comm_.is_participating(r)) continue;
       jobs.push_back([this, &compressor, r, n] {
-        auto& buf = decode_bufs_[r];
-        compressor.decompress_into(chunk_consumers_[r].payload(), buf);
-        if (buf.size() != n) {
-          throw PayloadError("DistSgd: decompressed size mismatch");
-        }
+        decode_rank(compressor, chunk_consumers_[r].payload(), r, n);
       });
     }
     engine().run_batch(std::move(jobs));
   } catch (const PayloadError&) {
     if (!policy_.enabled) throw;
-    ++comm_.recovery().decode_failures;
-    comm_.obs().count("recovery.decode_failures");
-    if (++consecutive_failures_[slot] >= policy_.fallback_after &&
-        degraded_[slot] == 0) {
-      degraded_[slot] = 1;
-      ++comm_.recovery().degraded_layers;
-      comm_.obs().count("recovery.degraded_layers");
-    }
+    count_decode_failure(slot);
     return false;
   }
-  average_decoded(n, averaged);
-  consecutive_failures_[slot] = 0;
   return true;
 }
 
-bool DistSgd::compressed_average(
-    std::size_t slot, std::size_t n, const std::vector<compress::Bytes>& send,
-    const compress::GradientCompressor& compressor,
-    std::vector<float>& averaged) {
-  if (cfg_.chunk_bytes > 0) {
-    return chunked_average(slot, n, send, compressor, averaged);
+void DistSgd::decode_rank(const compress::GradientCompressor& compressor,
+                          compress::ByteView payload, std::size_t rank,
+                          std::size_t n) {
+  std::vector<float>& buf = decode_bufs_[rank];
+  compressor.decompress_into(payload, buf);
+  if (buf.size() != n) {
+    throw PayloadError("DistSgd: decompressed size mismatch");
   }
-  const std::size_t world = comm_.world_size();
-  const std::size_t active = comm_.participant_count();
+}
 
+void DistSgd::gather_slot(std::size_t slot) {
+  const std::vector<compress::Bytes>& send = send_payloads_[slot];
+  comm_.allgatherv(send, gather_recv_);
+  // Every rank decodes the same concatenation; decode once — from the
+  // *received* stream (sliced by the known send sizes), so transport
+  // corruption actually reaches the payload validation layer.
+  const compress::ByteView gathered(gather_recv_[comm_.first_participant()]);
+  gather_slices_.assign(comm_.world_size(), {});
+  std::size_t off = 0;
+  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
+    if (!comm_.is_participating(r)) continue;
+    if (send[r].size() > gathered.size() - off) {
+      throw PayloadError("DistSgd: gathered stream truncated");
+    }
+    gather_slices_[r] = gathered.subspan(off, send[r].size());
+    off += send[r].size();
+  }
+}
+
+bool DistSgd::exchange_attempts(std::size_t slot, std::size_t n,
+                                const compress::GradientCompressor& compressor,
+                                std::size_t first_attempt) {
   const std::size_t attempts =
       policy_.enabled ? policy_.max_decode_retries + 1 : 1;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<std::vector<std::uint8_t>> recv;
-    comm_.allgatherv(send, recv);
+  for (std::size_t attempt = first_attempt; attempt < attempts; ++attempt) {
+    // Re-send the same payloads through a fresh collective.
+    if (attempt > 0) count_retry("sgd.decode_retry");
     try {
-      // Every rank decodes the same concatenation; decode once — from the
-      // *received* stream (sliced by the known send sizes), so transport
-      // corruption actually reaches the payload validation layer. The
-      // per-rank decodes are independent, so they run as one engine batch
-      // (parallel when a pool is attached); accumulation stays on this
-      // thread in rank order, keeping the float sum deterministic.
-      const compress::ByteView gathered(recv[comm_.first_participant()]);
+      gather_slot(slot);
+      // The per-rank decodes are independent, so they run as one engine
+      // batch (parallel when a pool is attached).
       std::vector<std::function<void()>> jobs;
-      jobs.reserve(active);
-      std::size_t off = 0;
-      for (std::size_t r = 0; r < world; ++r) {
+      for (std::size_t r = 0; r < comm_.world_size(); ++r) {
         if (!comm_.is_participating(r)) continue;
-        if (send[r].size() > gathered.size() - off) {
-          throw PayloadError("DistSgd: gathered stream truncated");
-        }
-        const compress::ByteView slice = gathered.subspan(off, send[r].size());
-        off += send[r].size();
-        jobs.push_back([this, &compressor, slice, r, n] {
-          auto& buf = decode_bufs_[r];
-          compressor.decompress_into(slice, buf);
-          if (buf.size() != n) {
-            throw PayloadError("DistSgd: decompressed size mismatch");
-          }
+        jobs.push_back([this, &compressor, r, n] {
+          decode_rank(compressor, gather_slices_[r], r, n);
         });
       }
       engine().run_batch(std::move(jobs));
-      average_decoded(n, averaged);
-      consecutive_failures_[slot] = 0;
       return true;
     } catch (const PayloadError&) {
       if (!policy_.enabled) throw;
-      if (attempt + 1 < attempts) {
-        ++comm_.recovery().decode_retries;
-        comm_.obs().count("recovery.decode_retries");
-        comm_.obs().instant(obs::kMainTrack, "sgd.decode_retry", "recovery");
-        continue;  // re-send the same payloads through a fresh collective
-      }
-      ++comm_.recovery().decode_failures;
-      comm_.obs().count("recovery.decode_failures");
-      if (++consecutive_failures_[slot] >= policy_.fallback_after &&
-          degraded_[slot] == 0) {
-        degraded_[slot] = 1;
-        ++comm_.recovery().degraded_layers;
-        comm_.obs().count("recovery.degraded_layers");
-      }
-      return false;
     }
   }
+  count_decode_failure(slot);
   return false;
+}
+
+void DistSgd::finish_slot(std::size_t slot, std::size_t li, std::size_t n,
+                          double lr,
+                          const compress::GradientCompressor* compressor,
+                          bool compressed, bool decoded_ok) {
+  const obs::ObsHooks& hooks = comm_.obs();
+  const std::size_t world = comm_.world_size();
+  const std::size_t active = comm_.participant_count();
+  bool finite;
+  if (compressed && decoded_ok) {
+    consecutive_failures_[slot] = 0;
+    finite = average_decoded(n);
+  } else {
+    if (compressed) {
+      ++comm_.recovery().fallback_steps;
+      hooks.count("recovery.fallback_steps");
+      hooks.instant(obs::kMainTrack, "sgd.layer_fallback", "recovery");
+      // The raw-gradient fallback below delivers the *full* gradient; a
+      // stateful compressor rolls its per-stream state back so the
+      // dropped payload's error is not double-counted next step
+      // (DESIGN.md §17).
+      for (std::size_t r = 0; r < world; ++r) {
+        if (!comm_.is_participating(r)) continue;
+        compressor->notify_fallback(static_cast<std::uint64_t>(slot) * world +
+                                    r);
+      }
+    }
+    // Plain ring allreduce of the raw gradients — the primary path when
+    // no compressor is attached, and the recovery fallback when decode
+    // retries were exhausted (the snapshots are untouched by the
+    // compressed attempt, so the fallback reduces the exact local
+    // gradients).
+    std::vector<std::span<float>> views;
+    views.reserve(world);
+    for (auto& g : step_grads_[slot]) views.push_back(g);
+    comm_.allreduce_sum(views);
+    finite = average_reduced(slot, n);
+    comp_bytes_ += active * n * sizeof(float);
+  }
+
+  // Non-finite guard: a CRC-clean payload can still carry NaN/Inf (an
+  // upstream arithmetic fault); never let it reach the weights silently.
+  if (!finite) {
+    if (policy_.enabled && policy_.skip_nonfinite_steps) {
+      ++comm_.recovery().nonfinite_skips;
+      hooks.count("recovery.nonfinite_skips");
+      return;  // skip this layer's update; momentum untouched
+    }
+    // StepGraph::run reaps every in-flight job before rethrowing.
+    throw NonFiniteError("DistSgd: non-finite averaged gradient");
+  }
+
+  auto& vel = velocity_[slot];
+  if (vel.size() != n) vel.assign(n, 0.0F);
+  std::vector<nn::Layer*> targets;
+  for (std::size_t r = 0; r < world; ++r) {
+    if (comm_.is_participating(r) || comm_.is_rejoining(r)) {
+      targets.push_back(&replicas_[r]->layer(li));
+    }
+  }
+  // Momentum, then every replica's update, per element range. Weight
+  // updates never touch gradient buffers, so in-flight compression of
+  // other layers (each reading its own snapshots) is unaffected.
+  for_each_range(engine(), n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      vel[i] = static_cast<float>(cfg_.momentum) * vel[i] + averaged_[i];
+    }
+    for (nn::Layer* layer : targets) {
+      apply_flat_update(*layer, vel, lr, lo, hi);
+    }
+  });
 }
 
 void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
@@ -332,40 +425,56 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
   step_grads_.resize(slots);
   send_payloads_.resize(slots);
   decode_bufs_.resize(world);
+  decode_errors_.assign(world, nullptr);
 
-  // Phase 1: snapshot every layer's [W|b] gradient and decide its path.
+  // Phase 1: snapshot and finiteness-check every (slot, rank) [W|b]
+  // gradient as one engine batch, then decide each slot's path.
+  std::vector<std::uint8_t> finite(slots * world, 1);
+  {
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(slots * active);
+    for (std::size_t s = 0; s < slots; ++s) {
+      step_grads_[s].resize(world);
+      send_payloads_[s].resize(world);
+      for (std::size_t r = 0; r < world; ++r) {
+        if (!comm_.is_participating(r)) continue;
+        jobs.push_back([this, &finite, s, r, world] {
+          std::vector<float>& g = step_grads_[s][r];
+          flat_gradient_into(replicas_[r]->layer(layer_indices_[s]), g);
+          finite[s * world + r] = all_finite(g) ? 1 : 0;
+        });
+      }
+    }
+    eng.run_batch(std::move(jobs));
+  }
   std::vector<std::size_t> layer_n(slots, 0);
   std::vector<std::uint8_t> use_comp(slots, 0);
+  const std::size_t lead_rank = comm_.first_participant();
   for (std::size_t s = 0; s < slots; ++s) {
-    const std::size_t li = layer_indices_[s];
-    step_grads_[s].resize(world);
-    send_payloads_[s].resize(world);
-    bool grads_finite = true;
-    for (std::size_t r = 0; r < world; ++r) {
-      if (!comm_.is_participating(r)) continue;
-      flat_gradient_into(replicas_[r]->layer(li), step_grads_[s][r]);
-      layer_n[s] = step_grads_[s][r].size();
-      // A non-finite local gradient must not enter the compressor (NaN
-      // through quantization is undefined); route it through the raw
-      // allreduce so the post-average guard below sees it as NaN and
-      // handles it as policy says.
-      grads_finite = grads_finite && all_finite(step_grads_[s][r]);
-    }
+    layer_n[s] = step_grads_[s][lead_rank].size();
+    // A non-finite local gradient must not enter the compressor (NaN
+    // through quantization is undefined); route it through the raw
+    // allreduce so the post-average guard sees it as NaN and handles it
+    // as policy says.
+    const bool grads_finite =
+        std::all_of(finite.begin() + static_cast<std::ptrdiff_t>(s * world),
+                    finite.begin() + static_cast<std::ptrdiff_t>(s * world +
+                                                                 world),
+                    [](std::uint8_t f) { return f != 0; });
     orig_bytes_ += active * layer_n[s] * sizeof(float);
     use_comp[s] =
         compressor != nullptr && degraded_[s] == 0 && grads_finite ? 1 : 0;
   }
 
-  // Graph build (DESIGN.md §13): one compute task per active (slot, rank)
-  // compression and one main-thread exchange+update task per slot, with
-  // the exchange depending on the slot's compressions. Task ids are
-  // slot * world + rank: fixed by (slot, rank) alone, so eviction or
-  // degradation of one layer never shifts another task's Rng stream.
-  // Backward-order priorities (higher slot first) mirror the order the
-  // gradients become ready in a real backward pass: while the main thread
-  // drives slot s's collective + decode, the engine's workers compress
-  // slots s-1..0 — the host-side analogue of the paper's
-  // compression/communication overlap.
+  // Graph build (DESIGN.md §13.1): one compute task per active (slot,
+  // rank) compression; then, per slot, the exchange on the optimizer
+  // thread. Task ids are slot * world + rank: fixed by (slot, rank)
+  // alone, so eviction or degradation of one layer never shifts another
+  // task's Rng stream. Backward-order priorities (higher slot first)
+  // mirror the order the gradients become ready in a real backward pass:
+  // while the main thread drives slot s's collective + decode, the
+  // engine's workers compress slots s-1..0 — the host-side analogue of
+  // the paper's compression/communication overlap.
   graph_.clear();
   // Rejoin re-sync (DESIGN.md §14): per-layer compute tasks copy the lead
   // replica's parameters into each rejoining replica through a sealed CKPT
@@ -376,7 +485,6 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
   // writes the rejoiner's parameters), so re-sync of later layers
   // overlaps earlier layers' collectives.
   const std::vector<std::size_t> rejoining = comm_.rejoining_ranks();
-  const std::size_t lead_rank = comm_.first_participant();
   std::vector<StepGraph::TaskId> resync_ids(slots, 0);
   if (!rejoining.empty()) {
     for (std::size_t s = 0; s < slots; ++s) {
@@ -410,15 +518,19 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
           });
     }
   }
+  // first_ids[s] starts slot s's exchange, last_ids[s] ends it.
+  std::vector<StepGraph::TaskId> first_ids(slots, 0);
+  std::vector<StepGraph::TaskId> last_ids(slots, 0);
   for (std::size_t s = 0; s < slots; ++s) {
     const std::size_t li = layer_indices_[s];
     const std::size_t n = layer_n[s];
+    const int prio = static_cast<int>(s);
     std::vector<StepGraph::TaskId> comp_ids;
     if (use_comp[s]) {
       for (std::size_t r = 0; r < world; ++r) {
         if (!comm_.is_participating(r)) continue;
         comp_ids.push_back(graph_.add_compute(
-            "grad_compress" + std::to_string(s), static_cast<int>(s),
+            "grad_compress" + std::to_string(s), prio,
             [this, compressor, step_seed, s, r, n, world] {
               // Stream id == task id: stateful compressors (EF wrapper,
               // sketch seed counters) key cross-step state by it, so it
@@ -450,93 +562,84 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
             }));
       }
     }
-    // Exchange + decode + momentum + update for one slot: collectives and
-    // weight writes stay on the optimizer thread. Weight updates never
-    // touch gradient buffers, so in-flight compression of other layers
-    // (each reading its own snapshots) is unaffected.
-    const auto exch = graph_.add_main(
-        "exchange" + std::to_string(s), static_cast<int>(s),
-        [this, compressor, lr, s, li, n, world, active,
-         use = use_comp[s]] {
-          const obs::ObsHooks& hooks = comm_.obs();
-          std::vector<float> averaged(n, 0.0F);
-          bool averaged_ok = false;
-          if (use) {
-            for (std::size_t r = 0; r < world; ++r) {
-              if (!comm_.is_participating(r)) continue;
-              comp_bytes_ += send_payloads_[s][r].size();
+    const bool pipelined = use_comp[s] && cfg_.chunk_bytes == 0;
+    if (pipelined) {
+      // The unchunked exchange as three kinds of task: gather(s) runs the
+      // collective (attempt 1 of the retry ladder), one decode(s, r)
+      // compute task per rank decodes on the pool, and finish(s) joins
+      // them, retries or falls back if a decode failed, then averages,
+      // guards and updates.
+      first_ids[s] = graph_.add_main(
+          "gather" + std::to_string(s), prio,
+          [this, s] {
+            gather_error_ = nullptr;
+            count_payload_bytes(s);
+            try {
+              gather_slot(s);
+            } catch (const PayloadError&) {
+              gather_error_ = std::current_exception();
             }
-            averaged_ok = compressed_average(s, n, send_payloads_[s],
-                                             *compressor, averaged);
-            if (!averaged_ok) {
-              ++comm_.recovery().fallback_steps;
-              hooks.count("recovery.fallback_steps");
-              hooks.instant(obs::kMainTrack, "sgd.layer_fallback",
-                            "recovery");
-              // The raw-gradient fallback below delivers the *full*
-              // gradient; a stateful compressor rolls its per-stream
-              // state back so the dropped payload's error is not
-              // double-counted next step (DESIGN.md §17).
-              for (std::size_t r = 0; r < world; ++r) {
-                if (!comm_.is_participating(r)) continue;
-                compressor->notify_fallback(
-                    static_cast<std::uint64_t>(s) * world + r);
-              }
+          },
+          /*is_comm=*/true);
+      last_ids[s] = graph_.add_main(
+          "finish" + std::to_string(s), prio,
+          [this, compressor, lr, s, li, n, world] {
+            // Attempt 1's error: a truncated stream, else the first
+            // failed decode in rank order (what a decode batch rethrows).
+            std::exception_ptr error = gather_error_;
+            for (std::size_t r = 0; r < world && error == nullptr; ++r) {
+              error = decode_errors_[r];
             }
-          }
-          if (!averaged_ok) {
-            // Plain ring allreduce of the raw gradients — the primary
-            // path when no compressor is attached, and the recovery
-            // fallback when decode retries were exhausted (the snapshots
-            // are untouched by the compressed attempt, so the fallback
-            // reduces the exact local gradients).
-            std::vector<std::span<float>> views;
-            views.reserve(world);
-            for (auto& g : step_grads_[s]) views.push_back(g);
-            comm_.allreduce_sum(views);
-            const std::size_t lead = comm_.first_participant();
-            for (std::size_t i = 0; i < n; ++i) {
-              averaged[i] =
-                  step_grads_[s][lead][i] / static_cast<float>(active);
+            std::fill(decode_errors_.begin(), decode_errors_.end(), nullptr);
+            bool ok = error == nullptr;
+            if (!ok) {
+              if (!policy_.enabled) std::rethrow_exception(error);
+              ok = exchange_attempts(s, n, *compressor, /*first_attempt=*/1);
             }
-            comp_bytes_ += active * n * sizeof(float);
-          }
-
-          // Non-finite guard: a CRC-clean payload can still carry NaN/Inf
-          // (an upstream arithmetic fault); never let it reach the
-          // weights silently.
-          if (!all_finite(averaged)) {
-            if (policy_.enabled && policy_.skip_nonfinite_steps) {
-              ++comm_.recovery().nonfinite_skips;
-              hooks.count("recovery.nonfinite_skips");
-              return;  // skip this layer's update; momentum untouched
-            }
-            // StepGraph::run reaps every in-flight job before rethrowing.
-            throw NonFiniteError("DistSgd: non-finite averaged gradient");
-          }
-
-          auto& vel = velocity_[s];
-          if (vel.size() != n) vel.assign(n, 0.0F);
-          std::vector<nn::Layer*> targets;
-          for (std::size_t r = 0; r < world; ++r) {
-            if (comm_.is_participating(r) || comm_.is_rejoining(r)) {
-              targets.push_back(&replicas_[r]->layer(li));
-            }
-          }
-          // Momentum, then every replica's update, per element range.
-          for_each_range(engine(), n, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              vel[i] =
-                  static_cast<float>(cfg_.momentum) * vel[i] + averaged[i];
-            }
-            for (nn::Layer* layer : targets) {
-              apply_flat_update(*layer, vel, lr, lo, hi);
-            }
+            gather_recv_.clear();
+            finish_slot(s, li, n, lr, compressor, /*compressed=*/true, ok);
           });
-        },
-        /*is_comm=*/true);
-    for (const auto c : comp_ids) graph_.depends(exch, c);
-    if (!rejoining.empty()) graph_.depends(exch, resync_ids[s]);
+      for (std::size_t r = 0; r < world; ++r) {
+        if (!comm_.is_participating(r)) continue;
+        const auto dec = graph_.add_compute(
+            "decode" + std::to_string(s), prio,
+            [this, compressor, r, n] {
+              if (gather_error_ != nullptr) return;
+              try {
+                decode_rank(*compressor, gather_slices_[r], r, n);
+              } catch (const PayloadError&) {
+                decode_errors_[r] = std::current_exception();
+              }
+            });
+        graph_.depends(dec, first_ids[s]);
+        graph_.depends(last_ids[s], dec);
+      }
+      graph_.depends(last_ids[s], first_ids[s]);
+    } else {
+      // Uncompressed (or degraded / non-finite) slots and the chunked
+      // transport: one exchange task drives the collectives, then the
+      // same tail as finish(s).
+      first_ids[s] = graph_.add_main(
+          "exchange" + std::to_string(s), prio,
+          [this, compressor, lr, s, li, n, use = use_comp[s] != 0] {
+            bool ok = false;
+            if (use) {
+              count_payload_bytes(s);
+              ok = chunked_average(s, n, *compressor);
+            }
+            finish_slot(s, li, n, lr, compressor, use, ok);
+          },
+          /*is_comm=*/true);
+      last_ids[s] = first_ids[s];
+    }
+    for (const auto c : comp_ids) graph_.depends(first_ids[s], c);
+    if (!rejoining.empty()) graph_.depends(first_ids[s], resync_ids[s]);
+  }
+  // finish(s) precedes gather(s - 1): collectives, fault-injector draws,
+  // retries and fallbacks keep the one slot-after-slot order, and only one
+  // slot's decodes use the per-rank decode buffers at a time.
+  for (std::size_t s = 0; s + 1 < slots; ++s) {
+    graph_.depends(first_ids[s], last_ids[s + 1]);
   }
   sched_stats_ = graph_.run(eng, hooks);
   hooks.count("sgd.orig_bytes", orig_bytes_);

@@ -23,6 +23,7 @@
 #include "src/optim/recovery.hpp"
 #include "src/optim/step_graph.hpp"
 
+#include <exception>
 #include <vector>
 
 namespace compso::optim {
@@ -102,10 +103,19 @@ class DistSgd {
   StepGraph::Stats sched_stats_;
   // Per-step workspaces (persistent so steady-state steps reuse capacity):
   // gradient snapshots and payloads indexed [slot][rank], decode buffers
-  // indexed [rank].
+  // indexed [rank] (one slot's decodes are live at a time: finish(s)
+  // precedes gather(s - 1)), and the averaged gradient of that slot.
   std::vector<std::vector<std::vector<float>>> step_grads_;
   std::vector<std::vector<compress::Bytes>> send_payloads_;
   std::vector<std::vector<float>> decode_bufs_;
+  std::vector<float> averaged_;
+  // The live slot's gathered stream, its per-rank payload slices, and
+  // attempt 1's errors: a truncated stream (gather) or a failed decode
+  // (per rank), kept for finish(s) to retry or rethrow.
+  std::vector<std::vector<std::uint8_t>> gather_recv_;
+  std::vector<compress::ByteView> gather_slices_;
+  std::exception_ptr gather_error_;
+  std::vector<std::exception_ptr> decode_errors_;
   // Chunked-transport workspaces (persistent; reused slot after slot —
   // the per-slot exchanges run serially on the optimizer thread).
   std::vector<compress::ChunkedProducer> chunk_producers_;
@@ -115,27 +125,55 @@ class DistSgd {
     return engine_ ? *engine_ : serial_engine_;
   }
 
-  /// Exchange + decode of one layer's pre-compressed payloads; returns
-  /// false when every retry failed and the caller must use the
-  /// uncompressed fallback. Dispatches to chunked_average when
-  /// cfg_.chunk_bytes > 0.
-  bool compressed_average(std::size_t slot, std::size_t n,
-                          const std::vector<compress::Bytes>& send,
-                          const compress::GradientCompressor& compressor,
-                          std::vector<float>& averaged);
+  /// Allgathers slot's payloads into gather_recv_ and slices the received
+  /// stream per rank into gather_slices_; throws PayloadError when the
+  /// stream is truncated.
+  void gather_slot(std::size_t slot);
 
-  /// averaged[i] = sum over participants r, in rank order, of
-  /// decode_bufs_[r][i] / active: one engine batch over fixed element
-  /// ranges, bit-identical at any engine thread count.
-  void average_decoded(std::size_t n, std::vector<float>& averaged);
+  /// Decodes one rank's payload into decode_bufs_[rank]; throws
+  /// PayloadError on a damaged payload or a wrong element count.
+  void decode_rank(const compress::GradientCompressor& compressor,
+                   compress::ByteView payload, std::size_t rank,
+                   std::size_t n);
+
+  /// Attempts [first_attempt, attempts) of the unchunked exchange, run
+  /// serially (gather, then a decode batch), counting a retry before each
+  /// attempt after the first. Returns true once one decodes; false (with
+  /// a decode failure counted) when every attempt failed and the caller
+  /// must use the uncompressed fallback.
+  bool exchange_attempts(std::size_t slot, std::size_t n,
+                         const compress::GradientCompressor& compressor,
+                         std::size_t first_attempt);
 
   /// The chunked-transport exchange (DESIGN.md §15): frames each rank's
   /// payload (engine batch), ships per-round chunk collectives with
-  /// per-round bounded retries, reassembles on the cursors, and decodes.
+  /// per-round bounded retries, reassembles on the cursors, and decodes
+  /// into decode_bufs_. Returns false like exchange_attempts.
   bool chunked_average(std::size_t slot, std::size_t n,
-                       const std::vector<compress::Bytes>& send,
-                       const compress::GradientCompressor& compressor,
-                       std::vector<float>& averaged);
+                       const compress::GradientCompressor& compressor);
+
+  /// Adds slot's participating payload sizes to comp_bytes_.
+  void count_payload_bytes(std::size_t slot);
+  /// Recovery counters of the retry ladder.
+  void count_retry(const char* event);
+  void count_decode_failure(std::size_t slot);
+
+  /// averaged_[i] = sum over participants r, in rank order, of
+  /// decode_bufs_[r][i] / active: one engine batch over fixed element
+  /// ranges, bit-identical at any engine thread count. Returns false when
+  /// the average holds a NaN or ±Inf (checked inside the range jobs).
+  bool average_decoded(std::size_t n);
+  /// averaged_ = the lead's allreduced raw gradient of `slot` / active;
+  /// returns false like average_decoded.
+  bool average_reduced(std::size_t slot, std::size_t n);
+
+  /// The tail of slot's exchange on the optimizer thread: the average —
+  /// of the decoded payloads when `compressed` and `decoded_ok`, else of
+  /// the raw gradients through the allreduce fallback — then the
+  /// non-finite guard, momentum and every replica's update.
+  void finish_slot(std::size_t slot, std::size_t li, std::size_t n, double lr,
+                   const compress::GradientCompressor* compressor,
+                   bool compressed, bool decoded_ok);
 };
 
 }  // namespace compso::optim

@@ -12,10 +12,17 @@
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define COMPSO_FUSED_AVX512 1
+#endif
 
 namespace compso::quant {
 
 namespace {
+
+/// Elements per block of extrema_blockwise's partial reductions.
+constexpr std::size_t kFusedBlockElems = 4096;
 
 /// Merges a block's [min, max] partial into the running extrema.
 inline void merge_minmax(float& mn, float& mx, float bmn, float bmx) noexcept {
@@ -29,40 +36,56 @@ inline std::uint32_t zigzag32(std::int32_t v) noexcept {
          static_cast<std::uint32_t>(v >> 31);
 }
 
-/// Stochastic rounding, inlined: identical arithmetic to round_value's
-/// kStochastic case (Eq. 4) — floor, fractional part, one uniform draw
-/// compared in double — but visible to the optimizer inside the fused
-/// loop, where the out-of-line call per survivor otherwise dominates.
-inline std::int64_t sr_round(double x, tensor::Rng& rng) noexcept {
+/// Stochastic rounding of x = c / step against its drawn uniform u:
+/// identical arithmetic to round_value's kStochastic case (Eq. 4) —
+/// floor, fractional part, the uniform compared in double — inline, where
+/// an out-of-line call per survivor would dominate the pass.
+inline std::int32_t sr_code(double x, float u) noexcept {
   const double lo = std::floor(x);
   const double frac = x - lo;
-  const bool up = static_cast<double>(rng.uniform()) < frac;
-  return static_cast<std::int64_t>(lo) + (up ? 1 : 0);
+  const bool up = static_cast<double>(u) < frac;
+  return static_cast<std::int32_t>(static_cast<std::int64_t>(lo) +
+                                   (up ? 1 : 0));
 }
 
-}  // namespace
-
-tensor::Extrema extrema_blockwise(std::span<const float> v) noexcept {
-  tensor::Extrema e;
-  if (v.empty()) return e;
-  float mn = v[0];
-  float mx = v[0];
+template <bool kResidual>
+tensor::Extrema extrema_impl(const float* v, const float* e,
+                             std::size_t n) noexcept {
+  const auto cval = [v, e](std::size_t i) noexcept {
+    if constexpr (kResidual) {
+      return v[i] + e[i];
+    } else {
+      (void)e;
+      return v[i];
+    }
+  };
+  tensor::Extrema out;
+  if (n == 0) return out;
+  float mn = cval(0);
+  float mx = mn;
   std::size_t i = 0;
-  const std::size_t n = v.size();
 #if defined(__SSE2__)
+  const auto load = [v, e](std::size_t i) noexcept {
+    if constexpr (kResidual) {
+      return _mm_add_ps(_mm_loadu_ps(v + i), _mm_loadu_ps(e + i));
+    } else {
+      (void)e;
+      return _mm_loadu_ps(v + i);
+    }
+  };
   // Vector lanes per block (the CPU analogue of the paper's warp-level
   // tree reduction): min/max is associative + commutative over the finite
   // floats gradients contain, so lane order cannot change the result.
   // _mm_min_ps(v, mn) evaluates (v < mn) ? v : mn — the same expression
   // as std::min(mn, v) — so the scalar tail and merge agree exactly.
   for (; i + kFusedBlockElems <= n; i += kFusedBlockElems) {
-    __m128 vmn0 = _mm_loadu_ps(v.data() + i);
-    __m128 vmn1 = _mm_loadu_ps(v.data() + i + 4);
+    __m128 vmn0 = load(i);
+    __m128 vmn1 = load(i + 4);
     __m128 vmx0 = vmn0;
     __m128 vmx1 = vmn1;
     for (std::size_t j = 8; j < kFusedBlockElems; j += 8) {
-      const __m128 a = _mm_loadu_ps(v.data() + i + j);
-      const __m128 b = _mm_loadu_ps(v.data() + i + j + 4);
+      const __m128 a = load(i + j);
+      const __m128 b = load(i + j + 4);
       vmn0 = _mm_min_ps(a, vmn0);
       vmx0 = _mm_max_ps(a, vmx0);
       vmn1 = _mm_min_ps(b, vmn1);
@@ -79,28 +102,392 @@ tensor::Extrema extrema_blockwise(std::span<const float> v) noexcept {
 #else
   for (; i + kFusedBlockElems <= n; i += kFusedBlockElems) {
     // Four independent lanes per block: same tree reduction, scalar ILP.
-    float mn0 = v[i], mn1 = v[i + 1], mn2 = v[i + 2], mn3 = v[i + 3];
+    float mn0 = cval(i), mn1 = cval(i + 1), mn2 = cval(i + 2),
+          mn3 = cval(i + 3);
     float mx0 = mn0, mx1 = mn1, mx2 = mn2, mx3 = mn3;
     for (std::size_t j = 4; j < kFusedBlockElems; j += 4) {
-      mn0 = std::min(mn0, v[i + j]);
-      mx0 = std::max(mx0, v[i + j]);
-      mn1 = std::min(mn1, v[i + j + 1]);
-      mx1 = std::max(mx1, v[i + j + 1]);
-      mn2 = std::min(mn2, v[i + j + 2]);
-      mx2 = std::max(mx2, v[i + j + 2]);
-      mn3 = std::min(mn3, v[i + j + 3]);
-      mx3 = std::max(mx3, v[i + j + 3]);
+      mn0 = std::min(mn0, cval(i + j));
+      mx0 = std::max(mx0, cval(i + j));
+      mn1 = std::min(mn1, cval(i + j + 1));
+      mx1 = std::max(mx1, cval(i + j + 1));
+      mn2 = std::min(mn2, cval(i + j + 2));
+      mx2 = std::max(mx2, cval(i + j + 2));
+      mn3 = std::min(mn3, cval(i + j + 3));
+      mx3 = std::max(mx3, cval(i + j + 3));
     }
     merge_minmax(mn, mx, std::min(std::min(mn0, mn1), std::min(mn2, mn3)),
                  std::max(std::max(mx0, mx1), std::max(mx2, mx3)));
   }
 #endif
-  for (; i < n; ++i) merge_minmax(mn, mx, v[i], v[i]);
-  e.min = mn;
-  e.max = mx;
-  e.abs_max = std::max(std::fabs(mn), std::fabs(mx));
-  return e;
+  for (; i < n; ++i) {
+    const float c = cval(i);
+    merge_minmax(mn, mx, c, c);
+  }
+  out.min = mn;
+  out.max = mx;
+  out.abs_max = std::max(std::fabs(mn), std::fabs(mx));
+  return out;
 }
+
+// ---------------------------------------------------------------------------
+// The fused filter + quantize (+ error feedback) pass.
+//
+// Bit-identity rule: every variant computes each output with the same
+// IEEE operations in the same order — c = float(g + e); x = double(c) /
+// step; lo = floor(x); frac = x − lo; up = double(u) < frac; code =
+// int32(int64(lo) + up); e' = c − float(double(code) · step) — each one
+// correctly rounded op (no FMA; fused.cpp builds with -ffp-contract=off),
+// and draws one uniform per survivor in index order. So vector lanes,
+// block size and where the uniforms are drawn never change a bit.
+// ---------------------------------------------------------------------------
+
+/// Buffers and parameters of one pass.
+struct PassIo {
+  const float* g;
+  const float* e;  ///< residual; unused unless the feedback instantiation.
+  float* eo;       ///< residual out; likewise.
+  std::size_t n;
+  bool filtered;
+  std::uint32_t pred_bits;  ///< c is filtered when |c|'s bits are <= this.
+  double step;
+  std::int32_t* codes;    ///< n + 8 slots: vector stores run 8 wide.
+  std::uint8_t* packed8;  ///< n + 8 bytes, likewise.
+  std::uint8_t* bitmap;   ///< ceil(n / 8) bytes when filtered.
+};
+
+struct PassResult {
+  std::size_t survivors = 0;
+  /// OR of all zigzag codes: bit_width(or) == bit_width(max) since the OR
+  /// is >= the max and < the max's next power of two.
+  std::uint32_t zz_or = 0;
+};
+
+/// One survivor's output: the code to the int32 scratch, the zigzag low
+/// byte to the speculative 8-bit pack buffer (used verbatim when the final
+/// width lands on 8 bits, the common case for gradient-scale bounds), the
+/// zigzag OR, and in feedback mode e' at its element position.
+template <bool kFeedback>
+inline void emit_survivor(const PassIo& io, PassResult& r, std::size_t i,
+                          float c, float u) noexcept {
+  const std::int32_t code = sr_code(static_cast<double>(c) / io.step, u);
+  const std::uint32_t zz = zigzag32(code);
+  io.codes[r.survivors] = code;
+  io.packed8[r.survivors] = static_cast<std::uint8_t>(zz);
+  ++r.survivors;
+  r.zz_or |= zz;
+  if constexpr (kFeedback) {
+    io.eo[i] = c - static_cast<float>(static_cast<double>(code) * io.step);
+  }
+}
+
+/// The filter test `fabs(double(c)) < threshold` as an integer compare of
+/// magnitude bits (see fused_filter_quantize).
+inline bool filtered_out(const PassIo& io, float c) noexcept {
+  return (std::bit_cast<std::uint32_t>(c) & 0x7FFFFFFFU) <= io.pred_bits;
+}
+
+template <bool kFeedback>
+inline float c_at(const PassIo& io, std::size_t i) noexcept {
+  if constexpr (kFeedback) {
+    return io.g[i] + io.e[i];
+  } else {
+    return io.g[i];
+  }
+}
+
+/// Elements [from, n) — the partial last bitmap byte — one at a time,
+/// drawing straight from the rng.
+template <bool kFeedback>
+void scalar_tail(const PassIo& io, std::size_t from, tensor::Rng& rng,
+                 PassResult& r) {
+  if (from >= io.n) return;
+  std::uint8_t bits = 0;
+  for (std::size_t i = from; i < io.n; ++i) {
+    const float c = c_at<kFeedback>(io, i);
+    if (io.filtered && filtered_out(io, c)) {
+      bits = static_cast<std::uint8_t>(bits | (1U << (i % 8)));
+      if constexpr (kFeedback) io.eo[i] = c - 0.0F;
+    } else {
+      emit_survivor<kFeedback>(io, r, i, c, rng.uniform());
+    }
+  }
+  if (io.filtered) io.bitmap[from / 8] = bits;
+}
+
+/// The baseline variant: one streaming pass with the filter byte built
+/// branch-free (SSE2 where available), then only the survivor lanes
+/// visited in ascending order via countr_zero — no data-dependent filter
+/// branch (mispredicted ~2x per byte on gradient-shaped inputs) — each
+/// drawing its uniform as it goes.
+template <bool kFeedback>
+PassResult pass_scalar(const PassIo& io, tensor::Rng& rng) {
+  PassResult r;
+  const std::size_t n = io.n;
+  const std::size_t full = n & ~std::size_t{7};
+  if (!io.filtered) {
+    for (std::size_t i = 0; i < n; ++i) {
+      emit_survivor<kFeedback>(io, r, i, c_at<kFeedback>(io, i),
+                               rng.uniform());
+    }
+    return r;
+  }
+  for (std::size_t i = 0; i < full; i += 8) {
+    std::uint8_t bits;
+#if defined(__SSE2__)
+    // filtered_out, four lanes at a time: both |c|'s bits and pred_bits
+    // sit in [0, 0x7FFFFFFF], non-negative as signed int32, so the signed
+    // PCMPGTD equals the unsigned `>` and MOVMSKPS of its all-ones lanes
+    // yields the survivor bits directly.
+    const __m128i vmask = _mm_set1_epi32(0x7FFFFFFF);
+    const __m128i vpred =
+        _mm_set1_epi32(static_cast<std::int32_t>(io.pred_bits));
+    __m128 ca = _mm_loadu_ps(io.g + i);
+    __m128 cb = _mm_loadu_ps(io.g + i + 4);
+    if constexpr (kFeedback) {
+      ca = _mm_add_ps(ca, _mm_loadu_ps(io.e + i));
+      cb = _mm_add_ps(cb, _mm_loadu_ps(io.e + i + 4));
+    }
+    const __m128i a = _mm_and_si128(_mm_castps_si128(ca), vmask);
+    const __m128i b = _mm_and_si128(_mm_castps_si128(cb), vmask);
+    const int sa =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(a, vpred)));
+    const int sb =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(b, vpred)));
+    bits = static_cast<std::uint8_t>(~(sa | (sb << 4)));
+#else
+    bits = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+      bits = static_cast<std::uint8_t>(
+          bits | (filtered_out(io, c_at<kFeedback>(io, i + k)) << k));
+    }
+#endif
+    io.bitmap[i / 8] = bits;
+    if constexpr (kFeedback) {
+      for (unsigned f = bits; f != 0; f &= f - 1) {
+        const std::size_t j = i + static_cast<unsigned>(std::countr_zero(f));
+        io.eo[j] = c_at<kFeedback>(io, j) - 0.0F;
+      }
+    }
+    auto surv = static_cast<std::uint8_t>(~bits);
+    while (surv != 0) {
+      const auto k = static_cast<unsigned>(std::countr_zero(surv));
+      surv = static_cast<std::uint8_t>(surv & (surv - 1));
+      emit_survivor<kFeedback>(io, r, i + k, c_at<kFeedback>(io, i + k),
+                               rng.uniform());
+    }
+  }
+  scalar_tail<kFeedback>(io, full, rng, r);
+  return r;
+}
+
+#if defined(COMPSO_FUSED_AVX512)
+
+// GCC 12's AVX-512 conversion intrinsics seed their results from
+// _mm512_undefined_*() placeholders, which -Wmaybe-uninitialized reports
+// at every inlined use; the placeholders are fully overwritten.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// Elements per block of the AVX-512 variant: the block's c values and
+/// its uniforms (8 KiB each) stay L1-resident between its two sweeps.
+constexpr std::size_t kVecBlockElems = 2048;
+
+/// The AVX-512 variant, per block of kVecBlockElems (whole bitmap bytes;
+/// the n % 8 tail goes through scalar_tail):
+///  1. one sweep forms c (kept in L1 in feedback mode), builds the bitmap
+///     with a vector magnitude compare and counts survivors;
+///  2. the block's uniforms are drawn in survivor order into an L1 buffer
+///     — the rng chain is serial, so this is the same stream the scalar
+///     variant draws one survivor at a time;
+///  3. a second sweep does divide, floor, compare, +1, zigzag, the
+///     speculative 8-bit pack and e' eight lanes at a time, expanding the
+///     uniforms onto the survivor lanes and compressing codes back to
+///     survivor order. A group holding a survivor whose floor falls
+///     outside int32 (only non-finite or outlier inputs reach that) runs
+///     the scalar arithmetic instead, so int32(int64(lo)) keeps its bits.
+/// c for elements [i, i + 8).
+template <bool kFeedback>
+[[gnu::target("avx512f,avx512vl,avx512dq"), gnu::always_inline]] inline __m256
+load_c8(const PassIo& io, std::size_t i) {
+  if constexpr (kFeedback) {
+    return _mm256_add_ps(_mm256_loadu_ps(io.g + i), _mm256_loadu_ps(io.e + i));
+  } else {
+    return _mm256_loadu_ps(io.g + i);
+  }
+}
+
+template <bool kFeedback>
+[[gnu::target("avx512f,avx512vl,avx512dq")]] PassResult pass_avx512(
+    const PassIo& io, tensor::Rng& rng) {
+  alignas(64) float cbuf[kVecBlockElems];
+  alignas(64) float ubuf[kVecBlockElems];
+  const __m256i vmag = _mm256_set1_epi32(0x7FFFFFFF);
+  const __m256i vpred = _mm256_set1_epi32(static_cast<int>(io.pred_bits));
+  const __m256i vminus1 = _mm256_set1_epi32(-1);
+  const __m512d vstep = _mm512_set1_pd(io.step);
+  const __m512d vlo_min = _mm512_set1_pd(-2147483648.0);
+  const __m512d vlo_end = _mm512_set1_pd(2147483648.0);
+  __m256i vor = _mm256_setzero_si256();
+  PassResult r;
+  const std::size_t full = io.n & ~std::size_t{7};
+  for (std::size_t base = 0; base < full; base += kVecBlockElems) {
+    const std::size_t end = std::min(full, base + kVecBlockElems);
+    std::size_t draws = end - base;
+    if (io.filtered) {
+      draws = 0;
+      for (std::size_t i = base; i < end; i += 8) {
+        const __m256 c = load_c8<kFeedback>(io, i);
+        if constexpr (kFeedback) _mm256_store_ps(cbuf + (i - base), c);
+        const __mmask8 surv = _mm256_cmpgt_epi32_mask(
+            _mm256_and_si256(_mm256_castps_si256(c), vmag), vpred);
+        io.bitmap[i / 8] = static_cast<std::uint8_t>(~surv);
+        draws += static_cast<std::size_t>(std::popcount(surv));
+      }
+    } else if constexpr (kFeedback) {
+      for (std::size_t i = base; i < end; i += 8) {
+        _mm256_store_ps(cbuf + (i - base), load_c8<kFeedback>(io, i));
+      }
+    }
+    for (std::size_t k = 0; k < draws; ++k) ubuf[k] = rng.uniform();
+
+    const float* u = ubuf;
+    for (std::size_t i = base; i < end; i += 8) {
+      __m256 c;
+      if constexpr (kFeedback) {
+        c = _mm256_load_ps(cbuf + (i - base));
+      } else {
+        c = _mm256_loadu_ps(io.g + i);
+      }
+      const __mmask8 m = io.filtered
+                             ? static_cast<__mmask8>(~io.bitmap[i / 8])
+                             : static_cast<__mmask8>(0xFF);
+      const __m512d x = _mm512_div_pd(_mm512_cvtps_pd(c), vstep);
+      const __m512d lo =
+          _mm512_roundscale_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+      const __mmask8 in_range =
+          _mm512_mask_cmp_pd_mask(m, lo, vlo_min, _CMP_GE_OQ) &
+          _mm512_cmp_pd_mask(lo, vlo_end, _CMP_LT_OQ);
+      if (in_range != m) [[unlikely]] {
+        alignas(32) float cv[8];
+        _mm256_store_ps(cv, c);
+        for (unsigned k = 0; k < 8; ++k) {
+          if (((m >> k) & 1U) != 0) {
+            emit_survivor<kFeedback>(io, r, i + k, cv[k], *u++);
+          } else if constexpr (kFeedback) {
+            io.eo[i + k] = cv[k] - 0.0F;
+          }
+        }
+        continue;
+      }
+      const __m512d frac = _mm512_sub_pd(x, lo);
+      const __m512d uv = _mm512_cvtps_pd(_mm256_maskz_expandloadu_ps(m, u));
+      const __mmask8 up = _mm512_mask_cmp_pd_mask(m, uv, frac, _CMP_LT_OQ);
+      __m256i code = _mm512_cvttpd_epi32(lo);
+      code = _mm256_mask_sub_epi32(code, up, code, vminus1);
+      const __m256i zz = _mm256_xor_si256(_mm256_slli_epi32(code, 1),
+                                          _mm256_srai_epi32(code, 31));
+      vor = _mm256_mask_or_epi32(vor, m, vor, zz);
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(io.codes + r.survivors),
+          _mm256_maskz_compress_epi32(m, code));
+      _mm_storel_epi64(
+          reinterpret_cast<__m128i*>(io.packed8 + r.survivors),
+          _mm256_cvtepi32_epi8(_mm256_maskz_compress_epi32(m, zz)));
+      if constexpr (kFeedback) {
+        const __m256 dec = _mm256_maskz_mov_ps(
+            m, _mm512_cvtpd_ps(
+                   _mm512_mul_pd(_mm512_cvtepi32_pd(code), vstep)));
+        _mm256_storeu_ps(io.eo + i, _mm256_sub_ps(c, dec));
+      }
+      const auto k = static_cast<std::size_t>(std::popcount(m));
+      r.survivors += k;
+      u += k;
+    }
+  }
+  alignas(32) std::uint32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vor);
+  for (const std::uint32_t l : lanes) r.zz_or |= l;
+  scalar_tail<kFeedback>(io, full, rng, r);
+  return r;
+}
+
+#pragma GCC diagnostic pop
+
+bool host_has_avx512() {
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512vl") &&
+                         __builtin_cpu_supports("avx512dq");
+  return ok;
+}
+
+#endif  // COMPSO_FUSED_AVX512
+
+enum class PassVariant : int { kAvx512, kScalar };
+
+/// Set by FusedPassOverride: the variant this thread's passes must use
+/// (-1: the widest the host runs).
+thread_local int t_forced_pass = -1;
+
+std::vector<PassVariant> host_pass_variants() {
+  std::vector<PassVariant> out;
+#if defined(COMPSO_FUSED_AVX512)
+  if (host_has_avx512()) out.push_back(PassVariant::kAvx512);
+#endif
+  out.push_back(PassVariant::kScalar);
+  return out;
+}
+
+const char* variant_name(PassVariant v) noexcept {
+  return v == PassVariant::kAvx512 ? "avx512" : "scalar";
+}
+
+PassVariant pick_pass() {
+  if (t_forced_pass >= 0) return static_cast<PassVariant>(t_forced_pass);
+  static const PassVariant widest = host_pass_variants().front();
+  return widest;
+}
+
+template <bool kFeedback>
+PassResult run_pass(const PassIo& io, tensor::Rng& rng) {
+#if defined(COMPSO_FUSED_AVX512)
+  if (pick_pass() == PassVariant::kAvx512) {
+    return pass_avx512<kFeedback>(io, rng);
+  }
+#endif
+  return pass_scalar<kFeedback>(io, rng);
+}
+
+}  // namespace
+
+tensor::Extrema extrema_blockwise(std::span<const float> values,
+                                  std::span<const float> residual) noexcept {
+  return residual.empty()
+             ? extrema_impl<false>(values.data(), nullptr, values.size())
+             : extrema_impl<true>(values.data(), residual.data(),
+                                  values.size());
+}
+
+std::vector<std::string> fused_pass_variants() {
+  std::vector<std::string> names;
+  for (const PassVariant v : host_pass_variants()) {
+    names.emplace_back(variant_name(v));
+  }
+  return names;
+}
+
+FusedPassOverride::FusedPassOverride(std::string_view variant)
+    : prev_(t_forced_pass) {
+  for (const PassVariant v : host_pass_variants()) {
+    if (variant == variant_name(v)) {
+      t_forced_pass = static_cast<int>(v);
+      return;
+    }
+  }
+  throw std::invalid_argument("FusedPassOverride: unknown variant " +
+                              std::string(variant));
+}
+
+FusedPassOverride::~FusedPassOverride() { t_forced_pass = prev_; }
 
 bool codes_fit_int32(double quant_bound) noexcept {
   if (quant_bound <= 0.0) return false;
@@ -110,32 +497,42 @@ bool codes_fit_int32(double quant_bound) noexcept {
 }
 
 FusedEncodeInfo fused_filter_quantize(std::span<const float> values,
+                                      std::span<const float> residual,
                                       double filter_bound, double quant_bound,
                                       bool use_filter, double abs_max,
-                                      RoundingMode mode, tensor::Rng& rng,
-                                      FusedScratch& scratch) {
+                                      tensor::Rng& rng, FusedScratch& scratch,
+                                      std::span<float> residual_out) {
   if (quant_bound <= 0.0) {
     throw std::invalid_argument("fused_filter_quantize: eb must be > 0");
   }
   const std::size_t n = values.size();
+  const bool feedback = !residual.empty();
+  if (residual.size() != residual_out.size() ||
+      (feedback && residual.size() != n)) {
+    throw std::invalid_argument(
+        "fused_filter_quantize: residual size mismatch");
+  }
   FusedEncodeInfo info;
   info.filtered = use_filter && filter_bound > 0.0;
-  scratch.codes.resize(n);  // worst case: nothing filtered
-  if (info.filtered) {
-    scratch.bitmap.assign((n + 7) / 8, 0);
-  } else {
-    scratch.bitmap.clear();
-  }
-  // Grow-only: pack_scratch_codes sets the exact size afterwards, so the
-  // pass can emit speculative 8-bit packed bytes via data() without a
-  // value-initializing resize on every call.
-  if (scratch.packed.size() < n) scratch.packed.resize(n);
+  // Grow-only, with 8 slots of slack for the vector variant's 8-wide
+  // stores: pack_scratch_codes sets the packed buffer's exact size
+  // afterwards, so the pass never pays a value-initializing resize.
+  if (scratch.codes.size() < n + 8) scratch.codes.resize(n + 8);
+  if (scratch.packed.size() < n + 8) scratch.packed.resize(n + 8);
+  scratch.bitmap.resize(info.filtered ? (n + 7) / 8 : 0);
 
   if (abs_max == 0.0) {
-    // All-zero buffer: the reference filter threshold is 0 (nothing is
-    // filtered, fabs(v) < 0 never holds) and the reference quantizer
-    // early-returns all-zero codes without touching the rng.
-    std::fill(scratch.codes.begin(), scratch.codes.end(), 0);
+    // All-zero c: the reference filter threshold is 0 (nothing is
+    // filtered, fabs(c) < 0 never holds) and the reference quantizer
+    // early-returns all-zero codes without touching the rng; every
+    // element decodes to 0.
+    std::fill_n(scratch.codes.begin(), n, 0);
+    std::fill(scratch.bitmap.begin(), scratch.bitmap.end(), 0);
+    if (feedback) {
+      for (std::size_t i = 0; i < n; ++i) {
+        residual_out[i] = (values[i] + residual[i]) - 0.0F;
+      }
+    }
     info.survivors = n;
     info.step = 0.0;
     info.bit_width = 1;
@@ -143,20 +540,12 @@ FusedEncodeInfo fused_filter_quantize(std::span<const float> values,
   }
 
   const double threshold = info.filtered ? filter_bound * abs_max : 0.0;
-  const double step = 2.0 * quant_bound * abs_max;
-  info.step = step;
-  std::int32_t* codes = scratch.codes.data();
-  std::uint8_t* packed8 = scratch.packed.data();
-  std::size_t survivors = 0;
-  // OR of all zigzag codes: bit_width(or) == bit_width(max) since the OR
-  // is >= the max and < the max's next power of two. Cheaper than a
-  // per-survivor max, and it feeds the speculative 8-bit pack below.
-  std::uint32_t zz_or = 0;
+  info.step = 2.0 * quant_bound * abs_max;
 
-  // The filter test `fabs(double(v)) < threshold` is reformulated as an
+  // The filter test `fabs(double(c)) < threshold` is reformulated as an
   // unsigned integer compare on the float's magnitude bits: with
-  // pred = the largest float strictly below threshold, a float |v| is
-  // below the (double) threshold iff |v| <= pred, and magnitude bits are
+  // pred = the largest float strictly below threshold, a float |c| is
+  // below the (double) threshold iff |c| <= pred, and magnitude bits are
   // monotone over non-negative floats (denormals included; NaN/Inf bits
   // sort above every finite pred, matching the `<` comparison's false).
   // This drops the convert/abs/compare FP chain to a mask + compare per
@@ -169,102 +558,20 @@ FusedEncodeInfo fused_filter_quantize(std::span<const float> values,
                            : std::nextafterf(ft, 0.0F);
     pred_bits = std::bit_cast<std::uint32_t>(pred);
   }
-  const auto filtered_bit = [pred_bits](float v) noexcept -> unsigned {
-    return (std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFU) <= pred_bits;
-  };
-
-  // Per-survivor emission: code to the int32 scratch, the zigzag low byte
-  // to the speculative 8-bit pack buffer (used verbatim when the final
-  // width lands on 8 bits — the common case for gradient-scale bounds),
-  // and the zigzag OR for the width reduction.
-  const auto emit = [&](std::int32_t c) {
-    const std::uint32_t zz = zigzag32(c);
-    codes[survivors] = c;
-    packed8[survivors] = static_cast<std::uint8_t>(zz);
-    ++survivors;
-    zz_or |= zz;
-  };
-
-  // One streaming pass, processed in L1-resident blocks: filter decision,
-  // bitmap emission (byte-wise accumulator), stochastic rounding, and the
-  // running required-bits maximum all happen per element, with no
-  // intermediate survivor/code vectors. The rounding mode is dispatched
-  // once out here so the dominant stochastic path inlines its draw.
-  const auto pass = [&](auto&& round_one) {
-    for (std::size_t base = 0; base < n; base += kFusedBlockElems) {
-      const std::size_t end = std::min(n, base + kFusedBlockElems);
-      if (info.filtered) {
-        std::size_t i = base;
-        // Full byte groups (base is block-aligned, blocks are multiples
-        // of 8): build the filter byte with branch-free compares, then
-        // visit only the survivor lanes in ascending order via
-        // countr_zero. The data-dependent filter branch — mispredicted
-        // ~2x per byte on gradient-shaped inputs — disappears; the rng
-        // draw order (one uniform per survivor, index order) is
-        // unchanged.
-        for (; i + 8 <= end; i += 8) {
-          std::uint8_t bits;
-#if defined(__SSE2__)
-          // Vectorized magnitude compare: both |v|'s bits and pred_bits
-          // sit in [0, 0x7FFFFFFF], i.e. non-negative as signed int32, so
-          // the signed PCMPGTD equals the unsigned `>` and MOVMSKPS of
-          // its all-ones lanes yields the survivor bits directly.
-          const __m128i vmask = _mm_set1_epi32(0x7FFFFFFF);
-          const __m128i vpred =
-              _mm_set1_epi32(static_cast<std::int32_t>(pred_bits));
-          __m128i a = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(values.data() + i));
-          __m128i b = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(values.data() + i + 4));
-          a = _mm_and_si128(a, vmask);
-          b = _mm_and_si128(b, vmask);
-          const int sa =
-              _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(a, vpred)));
-          const int sb =
-              _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(b, vpred)));
-          bits = static_cast<std::uint8_t>(~(sa | (sb << 4)));
-#else
-          bits = 0;
-          for (unsigned k = 0; k < 8; ++k) {
-            bits |= static_cast<std::uint8_t>(filtered_bit(values[i + k])
-                                              << k);
-          }
-#endif
-          scratch.bitmap[i / 8] |= bits;
-          auto surv = static_cast<std::uint8_t>(~bits);
-          while (surv != 0) {
-            const auto k = static_cast<unsigned>(std::countr_zero(surv));
-            surv = static_cast<std::uint8_t>(surv & (surv - 1));
-            emit(static_cast<std::int32_t>(
-                round_one(static_cast<double>(values[i + k]) / step)));
-          }
-        }
-        for (; i < end; ++i) {
-          const float v = values[i];
-          if (filtered_bit(v) != 0) {
-            scratch.bitmap[i / 8] |=
-                static_cast<std::uint8_t>(1U << (i % 8));
-          } else {
-            emit(static_cast<std::int32_t>(
-                round_one(static_cast<double>(v) / step)));
-          }
-        }
-      } else {
-        for (std::size_t i = base; i < end; ++i) {
-          emit(static_cast<std::int32_t>(
-              round_one(static_cast<double>(values[i]) / step)));
-        }
-      }
-    }
-  };
-  if (mode == RoundingMode::kStochastic) {
-    pass([&rng](double x) { return sr_round(x, rng); });
-  } else {
-    pass([&rng, mode](double x) { return round_value(x, mode, rng); });
-  }
-
-  info.survivors = survivors;
-  const unsigned bits = static_cast<unsigned>(std::bit_width(zz_or));
+  const PassIo io{.g = values.data(),
+                  .e = residual.data(),
+                  .eo = residual_out.data(),
+                  .n = n,
+                  .filtered = info.filtered,
+                  .pred_bits = pred_bits,
+                  .step = info.step,
+                  .codes = scratch.codes.data(),
+                  .packed8 = scratch.packed.data(),
+                  .bitmap = scratch.bitmap.data()};
+  const PassResult r =
+      feedback ? run_pass<true>(io, rng) : run_pass<false>(io, rng);
+  info.survivors = r.survivors;
+  const auto bits = static_cast<unsigned>(std::bit_width(r.zz_or));
   info.bit_width = bits == 0 ? 1 : bits;
   info.packed8_valid = true;
   return info;
@@ -529,20 +836,6 @@ void fused_dequant(std::span<const std::uint8_t> packed, unsigned bit_width,
   } else {
     for (float& o : out) o = dequant_one(bs.read_wide(bit_width), step);
   }
-}
-
-void fused_reconstruct(const FusedEncodeInfo& info,
-                       const FusedScratch& scratch, std::span<float> out) {
-  const std::int32_t* codes = scratch.codes.data();
-  const double step = info.step;
-  const auto next_value = [&codes, step] {
-    return static_cast<float>(static_cast<double>(*codes++) * step);
-  };
-  if (!info.filtered) {
-    for (float& o : out) o = next_value();
-    return;
-  }
-  scatter_through_bitmap(scratch.bitmap, out, next_value);
 }
 
 }  // namespace compso::quant

@@ -13,15 +13,16 @@
 //   - fused_filter_quantize: ONE pass that decides the filter bit, emits
 //     the bitmap bytewise, and stochastic-rounds survivors into a compact
 //     int32 code scratch while tracking the max zigzag code (so the
-//     separate required_bits sweep disappears).
+//     separate required_bits sweep disappears). With a residual it also
+//     does error feedback's arithmetic: it compresses c = values +
+//     residual, formed on the fly, and writes e' = c − decode(c) — what
+//     the payload decodes to, from the codes, with no decode.
 //   - pack_scratch_codes: zigzag bit-packing of the int32 scratch into an
 //     exactly-presized byte buffer (same LSB-first layout as BitWriter).
 //   - fused_scatter_dequant / fused_dequant: the decode-side fusion —
 //     bitmap scatter + dequantize in one pass over a 64-bit bit-stream
 //     accumulator, instead of unpack-to-int64 + dequantize + per-bit
 //     scatter.
-//   - fused_reconstruct: the decoded values of a payload, straight from
-//     the fused pass's scratch (error feedback needs them; no decode).
 //
 // All kernels consume the Rng in exactly the order the reference pipeline
 // does (one uniform per survivor, survivor order), so payloads are
@@ -29,19 +30,16 @@
 // compressor keeps one per thread), so steady-state calls allocate
 // nothing once capacities have grown to the largest layer.
 
-#include "src/quant/rounding.hpp"
 #include "src/tensor/rng.hpp"
 #include "src/tensor/stats.hpp"
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace compso::quant {
-
-/// Elements per block of the fused pass; sized so the block's codes and
-/// bitmap stay L1-resident between the quantize and pack stages.
-constexpr std::size_t kFusedBlockElems = 4096;
 
 /// Reusable per-thread workspace of the fused compress path.
 struct FusedScratch {
@@ -50,9 +48,13 @@ struct FusedScratch {
   std::vector<std::uint8_t> packed;  ///< zigzag bit-packed codes.
 };
 
-/// Hierarchical extrema reduction; bit-identical to tensor::extrema for
-/// finite inputs (abs_max is sign-insensitive, so ±0 ordering is moot).
-tensor::Extrema extrema_blockwise(std::span<const float> v) noexcept;
+/// Hierarchical extrema reduction of c = values + residual (c = values
+/// when `residual` is empty; otherwise it has values' size). Bit-identical
+/// to tensor::extrema over the materialized c for finite inputs
+/// (abs_max is sign-insensitive, so ±0 ordering is moot).
+tensor::Extrema extrema_blockwise(
+    std::span<const float> values,
+    std::span<const float> residual = {}) noexcept;
 
 /// True when every code the quantizer can emit for this bound fits the
 /// int32 scratch (zigzag included). Bounds down to ~1e-9 qualify; callers
@@ -70,15 +72,41 @@ struct FusedEncodeInfo {
   bool packed8_valid = false;
 };
 
-/// The fused pass. `abs_max` is the precomputed extrema result;
+/// The fused pass over c = values + residual (c = values when `residual`
+/// is empty). `abs_max` is extrema_blockwise's result for the same c;
 /// `filter_bound` <= 0 or `use_filter` == false disables the filter
-/// branch (no bitmap is built). Draws one rng uniform per survivor in
-/// survivor order — the exact stream the unfused pipeline consumes.
+/// branch (no bitmap is built). Stochastic rounding draws one rng
+/// uniform per survivor in survivor order — the exact stream the unfused
+/// pipeline consumes. `residual` and `residual_out` are both empty or
+/// both values' size. Then `residual_out` receives error
+/// feedback's new residual e' = c − float(double(code) · step) on
+/// survivors and c − 0.0F on filtered elements: c minus what the payload
+/// decodes to, bit for bit.
 FusedEncodeInfo fused_filter_quantize(std::span<const float> values,
+                                      std::span<const float> residual,
                                       double filter_bound, double quant_bound,
                                       bool use_filter, double abs_max,
-                                      RoundingMode mode, tensor::Rng& rng,
-                                      FusedScratch& scratch);
+                                      tensor::Rng& rng, FusedScratch& scratch,
+                                      std::span<float> residual_out = {});
+
+/// Test seam, like tensor::gemm_kernel_variants: the compiled variants of
+/// fused_filter_quantize this host can run, widest first ("avx512",
+/// "scalar"). Production calls use the first.
+std::vector<std::string> fused_pass_variants();
+
+/// Test seam: while alive, fused_filter_quantize calls on this thread run
+/// the named variant. Throws std::invalid_argument for a name
+/// fused_pass_variants() does not list.
+class FusedPassOverride {
+ public:
+  explicit FusedPassOverride(std::string_view variant);
+  ~FusedPassOverride();
+  FusedPassOverride(const FusedPassOverride&) = delete;
+  FusedPassOverride& operator=(const FusedPassOverride&) = delete;
+
+ private:
+  int prev_;
+};
 
 /// Packs scratch.codes[0..info.survivors) at info.bit_width into
 /// scratch.packed (resized to exactly ceil(survivors * bit_width / 8)).
@@ -92,14 +120,6 @@ void fused_scatter_dequant(std::span<const std::uint8_t> packed,
                            unsigned bit_width, double step,
                            std::span<const std::uint8_t> bitmap,
                            std::size_t survivors, std::span<float> out);
-
-/// What decoding the payload of a fused pass yields, written straight from
-/// its int32 codes, bitmap and step: float(double(code) * step) for
-/// survivors and 0.0F for filtered elements — the decoder's arithmetic, so
-/// `out` (sized to the input's element count) is bit-identical to
-/// decompressing the payload, without running the codec.
-void fused_reconstruct(const FusedEncodeInfo& info,
-                       const FusedScratch& scratch, std::span<float> out);
 
 /// Decode fusion, unfiltered payloads: dequantize all `out.size()` codes
 /// straight into `out`.

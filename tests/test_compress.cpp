@@ -4,6 +4,7 @@
 
 #include "src/common/payload_error.hpp"
 #include "src/compress/compressor.hpp"
+#include "src/quant/fused.hpp"
 #include "src/tensor/stats.hpp"
 #include "src/tensor/synthetic.hpp"
 
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace cp = compso::compress;
@@ -441,92 +443,132 @@ TEST(FusedOracle, PathologicalBoundFallsBackToReference) {
   }
 }
 
-// ---- reconstruction without a decode ----
+// ---- error feedback as one fused pass ----
 
-/// compress_reconstruct_into must produce compress_into's payload and a
-/// reconstruction bit-identical to decompress_into of that payload.
-void expect_reconstruction_matches(const cp::GradientCompressor& c,
-                                   const std::vector<float>& data,
-                                   std::uint64_t seed, const std::string& what) {
-  ct::Rng a(seed);
-  ct::Rng b(seed);
-  cp::Bytes payload;
-  c.compress_into(data, a, payload);
-  std::vector<float> decoded;
-  c.decompress_into(payload, decoded);
-  cp::Bytes out;
-  std::vector<float> recon = {123.0F};  // stale content must be replaced
-  c.compress_reconstruct_into(data, b, out, recon);
-  EXPECT_EQ(out, payload) << what;
-  EXPECT_EQ(a(), b()) << what << ": rng streams diverged";
-  ASSERT_EQ(recon.size(), decoded.size()) << what;
-  EXPECT_TRUE(decoded.empty() ||
-              std::memcmp(recon.data(), decoded.data(),
-                          decoded.size() * sizeof(float)) == 0)
-      << what;
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-TEST(Compso, ReconstructionMatchesDecompressBitForBit) {
-  using compso::codec::CodecKind;
-  const std::size_t sizes[] = {0, 1, 7, 8, 4097, (1UL << 18) + 3};
-  for (const std::size_t n : sizes) {
-    const auto data = kfac_grad(n, 0xBEEF + n);
-    for (const bool filter : {true, false}) {
-      for (const double eb : {4e-3, 2e-3, 1e-3}) {
+/// COMPSO's fused compress_feedback_into under the current pass variant
+/// against the decode arithmetic: the multi-pass reference compressor's
+/// default compress_feedback_into materializes c = g + e, compresses it
+/// and writes c − decompress_into(payload). Payload bytes, e' and the rng
+/// stream after the call must all match bit for bit; plain compress_into
+/// of g (the same pass without a residual) must match the reference too.
+void expect_feedback_matches(const cp::CompsoParams& p,
+                             const std::vector<float>& g,
+                             const std::vector<float>& e, std::uint64_t seed,
+                             const std::string& what) {
+  const auto fused = cp::make_compso(p);
+  const auto reference = cp::make_compso_reference(p);
+  ct::Rng a(seed);
+  ct::Rng b(seed);
+  cp::Bytes out = {1, 2, 3};  // stale content must be replaced
+  std::vector<float> res(g.size(), 123.0F);
+  fused->compress_feedback_into(g, e, a, out, res);
+  cp::Bytes ref_out;
+  std::vector<float> ref_res(g.size());
+  reference->compress_feedback_into(g, e, b, ref_out, ref_res);
+  EXPECT_EQ(out, ref_out) << what;
+  EXPECT_TRUE(same_bits(res, ref_res)) << what;
+  EXPECT_EQ(a(), b()) << what << ": rng streams diverged";
+
+  ct::Rng pa(seed + 1);
+  ct::Rng pb(seed + 1);
+  cp::Bytes plain;
+  fused->compress_into(g, pa, plain);
+  EXPECT_EQ(plain, reference->compress(g, pb)) << what << " (no residual)";
+  EXPECT_EQ(pa(), pb()) << what << ": plain rng streams diverged";
+}
+
+TEST(Compso, FeedbackPassBitIdenticalToDecodeArithmetic) {
+  const auto variants = compso::quant::fused_pass_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.back(), "scalar");
+  EXPECT_THROW(compso::quant::FusedPassOverride("no-such-isa"),
+               std::invalid_argument);
+  const std::size_t sizes[] = {0,    1,    7,      8,      9,
+                               4095, 4096, 4097, 262656, (1UL << 18) + 3};
+  for (const std::string& variant : variants) {
+    const compso::quant::FusedPassOverride use(variant);
+    for (const std::size_t n : sizes) {
+      const auto g = kfac_grad(n, 0xBEEF + n);
+      std::vector<float> e = kfac_grad(n, 0xFACE + n);
+      for (float& v : e) v *= 0.3F;
+      const std::vector<float> zero(n, 0.0F);
+      for (const bool filter : {true, false}) {
+        for (const double eb : {4e-3, 2e-3, 1e-3, 5e-4}) {
+          cp::CompsoParams p;
+          p.use_filter = filter;
+          p.filter_bound = eb;
+          p.quant_bound = eb;
+          const std::string what = variant + " n=" + std::to_string(n) +
+                                   " filter=" + std::to_string(filter) +
+                                   " eb=" + std::to_string(eb);
+          expect_feedback_matches(p, g, zero, n + 5, what + " e=0");
+          expect_feedback_matches(p, g, e, n + 6, what + " e!=0");
+        }
+        for (const auto kind : compso::codec::kAllCodecKinds) {
+          cp::CompsoParams p;
+          p.use_filter = filter;
+          p.encoder = kind;
+          expect_feedback_matches(p, g, e, n + 9,
+                                  variant + " n=" + std::to_string(n) +
+                                      " encoder=" + to_string(kind));
+        }
+        // All-zero g + e, with a zero and a non-zero residual.
         cp::CompsoParams p;
         p.use_filter = filter;
-        p.filter_bound = eb;
-        p.quant_bound = eb;
-        const std::string what = "n=" + std::to_string(n) +
-                                 " filter=" + std::to_string(filter) +
-                                 " eb=" + std::to_string(eb);
-        expect_reconstruction_matches(*cp::make_compso(p), data, n + 5, what);
+        std::vector<float> minus_e(e);
+        for (float& v : minus_e) v = -v;
+        const std::string what = variant + " all-zero n=" +
+                                 std::to_string(n) +
+                                 " filter=" + std::to_string(filter);
+        expect_feedback_matches(p, zero, zero, n + 7, what + " e=0");
+        expect_feedback_matches(p, minus_e, e, n + 8, what + " e!=0");
       }
-      for (const CodecKind kind : compso::codec::kAllCodecKinds) {
-        cp::CompsoParams p;
-        p.use_filter = filter;
-        p.encoder = kind;
-        expect_reconstruction_matches(
-            *cp::make_compso(p), data, n + 6,
-            "n=" + std::to_string(n) + " encoder=" + to_string(kind));
-      }
-      cp::CompsoParams p;
-      p.use_filter = filter;
-      expect_reconstruction_matches(*cp::make_compso(p),
-                                    std::vector<float>(n, 0.0F), n + 7,
-                                    "all-zero n=" + std::to_string(n));
     }
   }
 }
 
-TEST(Compso, ReconstructionThrowsWhatDecompressThrows) {
-  // Inf in the input makes the quantization step non-finite: the payload
-  // is undecodable, and reconstructing from the quantizer must fail with
-  // the same typed error instead of returning garbage.
-  auto data = kfac_grad(5000, 17);
-  data[321] = std::numeric_limits<float>::infinity();
-  for (const bool filter : {true, false}) {
-    cp::CompsoParams p;
-    p.use_filter = filter;
-    const auto c = cp::make_compso(p);
-    ct::Rng a(3);
-    ct::Rng b(3);
-    cp::Bytes payload;
-    c->compress_into(data, a, payload);
-    std::string decode_error;
-    try {
-      (void)c->decompress(payload);
-    } catch (const compso::PayloadError& e) {
-      decode_error = e.what();
-    }
-    ASSERT_FALSE(decode_error.empty()) << "decode accepted a non-finite step";
-    cp::Bytes out;
-    std::vector<float> recon;
-    try {
-      c->compress_reconstruct_into(data, b, out, recon);
-      ADD_FAILURE() << "reconstruction accepted a non-finite step";
-    } catch (const compso::PayloadError& e) {
-      EXPECT_EQ(std::string(e.what()), decode_error);
+TEST(Compso, FeedbackPassThrowsWhatDecompressThrows) {
+  // Inf in g + e makes the quantization step non-finite: the payload is
+  // undecodable, and the fused feedback pass must fail with the same
+  // typed error instead of returning a garbage residual. Here g + e
+  // overflows from two finite inputs.
+  auto g = kfac_grad(5000, 17);
+  std::vector<float> e(g.size(), 0.0F);
+  g[321] = 3.0e38F;
+  e[321] = 3.0e38F;
+  std::vector<float> c(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) c[i] = g[i] + e[i];
+  for (const std::string& variant : compso::quant::fused_pass_variants()) {
+    const compso::quant::FusedPassOverride use(variant);
+    for (const bool filter : {true, false}) {
+      cp::CompsoParams p;
+      p.use_filter = filter;
+      const auto comp = cp::make_compso(p);
+      ct::Rng a(3);
+      ct::Rng b(3);
+      cp::Bytes payload;
+      comp->compress_into(c, a, payload);
+      std::string decode_error;
+      try {
+        (void)comp->decompress(payload);
+      } catch (const compso::PayloadError& err) {
+        decode_error = err.what();
+      }
+      ASSERT_FALSE(decode_error.empty()) << "decode accepted a non-finite step";
+      cp::Bytes out;
+      std::vector<float> res(g.size());
+      try {
+        comp->compress_feedback_into(g, e, b, out, res);
+        ADD_FAILURE() << variant << ": feedback accepted a non-finite step";
+      } catch (const compso::PayloadError& err) {
+        EXPECT_EQ(std::string(err.what()), decode_error) << variant;
+      }
     }
   }
 }

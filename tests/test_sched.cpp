@@ -225,10 +225,10 @@ struct DistFixture {
   std::vector<nn::Model*> ptrs;
   nn::ClusterDataset dataset{8, 3, 0.4F, 77};
 
-  explicit DistFixture(std::size_t world) {
+  explicit DistFixture(std::size_t world, std::size_t depth = 1) {
     for (std::size_t r = 0; r < world; ++r) {
       ct::Rng rng(555);
-      replicas.push_back(nn::make_mlp_classifier(8, 12, 3, 1, rng));
+      replicas.push_back(nn::make_mlp_classifier(8, 12, 3, depth, rng));
     }
     for (auto& m : replicas) ptrs.push_back(&m);
   }
@@ -314,6 +314,93 @@ TEST(SchedDeterminism, DistSgdBitExactAcrossThreadCounts) {
   const auto serial = run_sgd_sched(0);
   expect_bitwise_equal(serial, run_sgd_sched(2), "2-thread engine");
   expect_bitwise_equal(serial, run_sgd_sched(8), "8-thread engine");
+}
+
+// --- DistSgd's pipelined exchange keeps the collective order under faults
+
+struct FaultedSgdStep {
+  std::vector<obs::Tracer::Event> main_track;  ///< minus the sgd.step span.
+  cm::RecoveryStats recovery;
+};
+
+/// One EF+COMPSO SGD step at world 4 over four slots (8→12, 12→12, 12→12,
+/// 12→3) under the deterministic sim clock. A transport fault hook damages
+/// the gathered stream of allgatherv calls 1 and 3–5: slot 2's first
+/// gather (one retry recovers it), then slot 1's gather and both of its
+/// retries (the ladder falls back to the raw allreduce).
+FaultedSgdStep faulted_sgd_step(std::size_t engine_threads) {
+  DistFixture f(4, /*depth=*/3);
+  cm::Communicator comm(cm::Topology::with_gpus(4),
+                        cm::NetworkModel::platform1());
+  opt::DistSgd sgd({.momentum = 0.9, .error_feedback = false}, comm, f.ptrs);
+  sgd.set_recovery({.enabled = true,
+                    .max_decode_retries = 2,
+                    .fallback_after = 3,
+                    .skip_nonfinite_steps = true});
+  cc::CompressionEngine eng(engine_threads);
+  sgd.set_engine(&eng);
+  const auto ef = cc::make_error_feedback(cc::make_compso({}));
+  std::size_t calls = 0;
+  comm.set_payload_fault([&calls](std::vector<std::uint8_t>& stream) {
+    const std::size_t call = calls++;
+    if (call == 1 || (call >= 3 && call <= 5)) stream[0] ^= 0xFF;
+  });
+  const auto clock = cm::sim_time_clock(comm.clocks());
+  obs::Tracer tracer(&clock);
+  obs::MetricsRegistry metrics;
+  comm.set_obs({.metrics = &metrics, .tracer = &tracer});
+  ct::Rng data_rng(1), sr_rng(2);
+  f.run_fwd_bwd(data_rng);
+  sgd.step(0.05, ef.get(), sr_rng);
+  comm.set_obs({});
+
+  FaultedSgdStep out;
+  for (const auto& e : tracer.events()) {
+    if (e.track == obs::kMainTrack && e.name != "sgd.step") {
+      out.main_track.push_back(e);
+    }
+  }
+  out.recovery = comm.recovery();
+  return out;
+}
+
+TEST(SchedFaults, SgdCollectiveOrderAndCountersPinnedUnderRetryAndFallback) {
+  const auto base = faulted_sgd_step(0);
+  for (const std::size_t threads : {0UL, 4UL}) {
+    const auto got = threads == 0 ? base : faulted_sgd_step(threads);
+    const std::string what = "threads=" + std::to_string(threads);
+    // gather3, gather2, gather2-retry, gather1 x (1 + 2 retries),
+    // allreduce1, gather0 — each retry announced just before its re-send.
+    const std::vector<std::string> expected = {
+        "comm.allgather",     "comm.allgather",   "sgd.decode_retry",
+        "comm.allgather",     "comm.allgather",   "sgd.decode_retry",
+        "comm.allgather",     "sgd.decode_retry", "comm.allgather",
+        "sgd.layer_fallback", "comm.allreduce",   "comm.allgather"};
+    ASSERT_EQ(got.main_track.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got.main_track[i].name, expected[i]) << what << " at " << i;
+    }
+    const auto bytes = [&](std::size_t i) {
+      return got.main_track[i].args.at(0).second;
+    };
+    // A retry re-sends the same payloads; the fallback reduces slot 1's
+    // raw 12x12 + 12 gradient.
+    EXPECT_EQ(bytes(3), bytes(1)) << what;
+    EXPECT_EQ(bytes(6), bytes(4)) << what;
+    EXPECT_EQ(bytes(8), bytes(4)) << what;
+    EXPECT_EQ(bytes(10), 156U * sizeof(float)) << what;
+    EXPECT_EQ(got.recovery.decode_retries, 3U) << what;
+    EXPECT_EQ(got.recovery.decode_failures, 1U) << what;
+    EXPECT_EQ(got.recovery.fallback_steps, 1U) << what;
+    EXPECT_EQ(got.recovery.degraded_layers, 0U) << what;
+    EXPECT_EQ(got.recovery.nonfinite_skips, 0U) << what;
+    // Under the sim clock the stamps are part of the contract too.
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got.main_track[i].ts_ns, base.main_track[i].ts_ns) << what;
+      EXPECT_EQ(got.main_track[i].dur_ns, base.main_track[i].dur_ns) << what;
+      EXPECT_EQ(got.main_track[i].args, base.main_track[i].args) << what;
+    }
+  }
 }
 
 // --- DistSgd's exchange tail: accumulate, momentum and update run as
