@@ -18,7 +18,7 @@
 
 #include "bench/bench_util.hpp"
 
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 #include <cmath>
 #include <string_view>
@@ -33,16 +33,26 @@ struct FamilyRun {
   bool finite = true;
 };
 
-core::TrainerConfig workload() {
-  core::TrainerConfig c;
-  c.world = 4;
-  c.batch_per_rank = 8;
-  c.features = 20;
-  c.classes = 10;
-  c.hidden = 24;
-  c.depth = 2;
-  c.noise = 1.1F;
-  c.seed = 20250808;
+/// SGD with the LR drop at iteration 80, on `compressor` at every step.
+core::FtTrainerConfig workload(std::size_t iterations,
+                               const compress::GradientCompressor* compressor) {
+  core::FtTrainerConfig c;
+  c.base = {.world = 4,
+            .batch_per_rank = 8,
+            .features = 20,
+            .classes = 10,
+            .hidden = 24,
+            .depth = 2,
+            .noise = 1.1F,
+            .seed = 20250808};
+  c.optimizer = core::OptimizerKind::kSgd;
+  // The trainer's built-in residual stays off: the EF wrapper itself is
+  // the (only) error-feedback mechanism under test for every family.
+  c.sgd.error_feedback = false;
+  c.base_lr = 0.05;
+  c.lr_milestones = {80};
+  c.total_iterations = iterations;
+  c.provider = core::fixed_provider(compressor);
   return c;
 }
 
@@ -83,8 +93,6 @@ int main(int argc, char** argv) {
   constexpr double kKeep = 0.05;     // aggressive top-k: EF has real work.
   constexpr double kSketchRatio = 0.25;
   constexpr std::uint64_t kSeed = 0x5EED;
-  const optim::StepLr lr(0.05, 0.1, {80});
-  core::ClusterTrainer trainer(workload());
 
   struct Candidate {
     const char* name;
@@ -113,10 +121,9 @@ int main(int argc, char** argv) {
   for (const auto& cand : pool) {
     FamilyRun run;
     run.name = cand.name;
-    // The trainer's built-in residual stays off: the EF wrapper itself is
-    // the (only) error-feedback mechanism under test for every family.
-    run.result = trainer.train_sgd(kIters, lr, cand.compressor.get(),
-                                   /*error_feedback=*/false);
+    core::FaultTolerantTrainer trainer(
+        workload(kIters, cand.compressor.get()));
+    run.result = core::train(trainer, kIters);
     run.finite = all_finite(run.result.loss_curve);
     std::printf("%-16s | %10.4f | %10.4f | %7.1fx%s\n", cand.name,
                 run.result.final_loss, tail_loss(run.result.loss_curve),

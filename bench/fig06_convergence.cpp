@@ -13,7 +13,9 @@
 #include "bench/bench_util.hpp"
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
+
+#include <cmath>
 
 namespace {
 
@@ -69,12 +71,25 @@ int main() {
   for (const auto& w : workloads()) {
     std::printf("\n--- %s (KFAC budget %zu iters, LR drop @%zu) ---\n",
                 w.name, kIters, kLrDrop);
-    core::ClusterTrainer trainer(w.cfg);
     const optim::StepLr kfac_lr(0.01, 0.1, {kLrDrop});
-    const optim::StepLr sgd_lr(0.05, 0.1, {2 * kLrDrop});
-    optim::DistKfacConfig kc;
-    kc.damping = 0.1;
-    kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
+    const auto run = [&](core::OptimizerKind optimizer, std::size_t iters,
+                         double lr, core::CompressorProvider provider) {
+      core::FtTrainerConfig c;
+      c.base = w.cfg;
+      c.optimizer = optimizer;
+      c.kfac.damping = 0.1;
+      c.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
+      c.base_lr = lr;
+      c.lr_milestones = {iters * kLrDrop / kIters};  // same budget share
+      c.total_iterations = iters;
+      c.provider = std::move(provider);
+      core::FaultTolerantTrainer trainer(c);
+      return core::train(trainer, iters);
+    };
+    const auto kfac_run = [&](const compress::GradientCompressor* c) {
+      return run(core::OptimizerKind::kKfac, kIters, 0.01,
+                 core::fixed_provider(c));
+    };
 
     const auto cusz = compress::make_sz(4e-3);
     const auto qsgd = compress::make_qsgd(8);
@@ -88,11 +103,11 @@ int main() {
       return sched.at(t).use_filter ? compso_aggr.get() : compso_cons.get();
     };
 
-    const auto r_kfac = trainer.train_kfac(kIters, kfac_lr, nullptr, kc);
+    const auto r_kfac = kfac_run(nullptr);
     // SGD gets a 2x budget; the "iterations to KFAC accuracy" ratio is the
     // paper's KFAC-vs-SGD iteration advantage.
-    const auto r_sgd =
-        trainer.train_sgd(2 * kIters, sgd_lr, cocktail.get());
+    const auto r_sgd = run(core::OptimizerKind::kSgd, 2 * kIters, 0.05,
+                           core::fixed_provider(cocktail.get()));
     double ratio = 2.0;
     bool crossed = false;
     for (std::size_t i = 0; i < r_sgd.eval_curve.size(); ++i) {
@@ -104,14 +119,11 @@ int main() {
         break;
       }
     }
-    const auto r_cusz = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return cusz.get(); }, kc);
-    const auto r_qsgd = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return qsgd.get(); }, kc);
-    const auto r_cocktail = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return cocktail.get(); }, kc);
+    const auto r_cusz = kfac_run(cusz.get());
+    const auto r_qsgd = kfac_run(qsgd.get());
+    const auto r_cocktail = kfac_run(cocktail.get());
     const auto r_compso =
-        trainer.train_kfac(kIters, kfac_lr, compso_provider, kc);
+        run(core::OptimizerKind::kKfac, kIters, 0.01, compso_provider);
 
     std::printf("validation accuracy over training (20 eval points):\n");
     print_curve("SGD+CocktailSGD", r_sgd.eval_curve);
@@ -148,5 +160,26 @@ int main() {
       "1.2-1.5x); KFAC+COMPSO and KFAC+QSGD track KFAC (No Comp.) within\n"
       "noise; KFAC+CocktailSGD trails (random sampling without error\n"
       "feedback in the KFAC path).\n");
-  return 0;
+
+  // The same shape checks as gates, so CI fails when a change breaks them.
+  bool ok = true;
+  const auto check = [&ok](bool pass, const std::string& workload,
+                           const char* what) {
+    if (!pass) {
+      std::fprintf(stderr, "SHAPE CHECK FAIL (%s): %s\n", workload.c_str(),
+                   what);
+      ok = false;
+    }
+  };
+  for (const auto& r : table) {
+    check(r.sgd_iteration_ratio > 1.5, r.workload,
+          "SGD needs <= 1.5x the KFAC iterations");
+    check(std::abs(r.compso - r.kfac) <= 1.5, r.workload,
+          "KFAC+COMPSO is more than 1.5 points from KFAC");
+    check(std::abs(r.qsgd - r.kfac) <= 1.5, r.workload,
+          "KFAC+QSGD is more than 1.5 points from KFAC");
+    check(r.cocktail < r.kfac, r.workload,
+          "KFAC+CocktailSGD is not below KFAC");
+  }
+  return ok ? 0 : 1;
 }

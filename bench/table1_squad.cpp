@@ -9,26 +9,44 @@
 #include "bench/bench_util.hpp"
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
+
+#include <cmath>
 
 int main() {
   using namespace compso;
   bench::print_header("Table 1: span-extraction fine-tuning (SQuAD proxy)");
 
-  core::SpanTrainerConfig cfg;
-  cfg.positions = 12;
-  cfg.features = 24;
-  cfg.hidden = 32;
-  cfg.depth = 2;
-  cfg.noise = 0.85F;
+  core::TrainerConfig base;
+  base.features = 24;
+  base.hidden = 32;
+  base.depth = 2;
+  base.noise = 0.85F;
+  base.seed = 99;
+  const auto task = std::make_shared<core::SpanTask>(base, /*positions=*/12);
   const std::size_t kfac_iters = 160;   // "1000 iterations, 4 stages"
   const std::size_t sgd_iters = 208;    // LAMB uses ~1.3x more (paper)
-  core::SpanTrainer trainer(cfg);
-  const optim::StepLr kfac_lr(0.02, 0.1, {120});
-  const optim::StepLr sgd_lr(0.05, 0.1, {156});
-  optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
+  const auto run = [&](core::OptimizerKind optimizer, std::size_t iters,
+                       double lr, std::size_t lr_drop,
+                       core::CompressorProvider provider) {
+    core::FtTrainerConfig c;
+    c.base = base;
+    c.task = task;
+    c.optimizer = optimizer;
+    c.kfac.damping = 0.03;
+    c.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
+    c.base_lr = lr;
+    c.lr_milestones = {lr_drop};
+    c.total_iterations = iters;
+    c.provider = std::move(provider);
+    core::FaultTolerantTrainer trainer(c);
+    trainer.run(iters);
+    return task->metrics(trainer.model());
+  };
+  const auto kfac_run = [&](const compress::GradientCompressor* c) {
+    return run(core::OptimizerKind::kKfac, kfac_iters, 0.02, 120,
+               core::fixed_provider(c));
+  };
 
   const auto cusz = compress::make_sz(4e-3);
   const auto qsgd = compress::make_qsgd(8);
@@ -56,29 +74,16 @@ int main() {
   };
   std::vector<Row> rows;
   rows.push_back({"SGD+CocktailSGD", "20% sparsity + 8-bit quant.",
-                  trainer.train_sgd(sgd_iters, sgd_lr, cocktail.get())
-                      .metrics});
-  rows.push_back({"KFAC (No Comp.)", "(n/a)",
-                  trainer.train_kfac(kfac_iters, kfac_lr, nullptr, kc)
-                      .metrics});
-  rows.push_back(
-      {"KFAC+cuSZ", "4E-3, relative to range",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return cusz.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+QSGD", "8-bit quant.",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return qsgd.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+CocktailSGD", "20% sparsity + 8-bit quant.",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return cocktail.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+COMPSO", "iteration-wise adaptive",
-       trainer.train_kfac(kfac_iters, kfac_lr, compso_provider, kc).metrics});
+                  run(core::OptimizerKind::kSgd, sgd_iters, 0.05, 156,
+                      core::fixed_provider(cocktail.get()))});
+  rows.push_back({"KFAC (No Comp.)", "(n/a)", kfac_run(nullptr)});
+  rows.push_back({"KFAC+cuSZ", "4E-3, relative to range", kfac_run(cusz.get())});
+  rows.push_back({"KFAC+QSGD", "8-bit quant.", kfac_run(qsgd.get())});
+  rows.push_back({"KFAC+CocktailSGD", "20% sparsity + 8-bit quant.",
+                  kfac_run(cocktail.get())});
+  rows.push_back({"KFAC+COMPSO", "iteration-wise adaptive",
+                  run(core::OptimizerKind::kKfac, kfac_iters, 0.02, 120,
+                      compso_provider)});
 
   std::printf("%-18s %-28s | %8s %12s\n", "Approach", "Equiv. error control",
               "F1", "Exact Match");
@@ -93,5 +98,23 @@ int main() {
       "F1 >= exact match for every method. The paper's ~1-point cuSZ (RN)\n"
       "penalty is below this proxy's noise floor — fig03 shows where RN\n"
       "visibly hurts.\n");
-  return 0;
+
+  // The same shape checks as gates, so CI fails when a change breaks them.
+  bool ok = true;
+  const double target_f1 = rows[1].m.f1;  // KFAC (No Comp.)
+  for (const auto& r : rows) {
+    if (std::abs(r.m.f1 - target_f1) > 1.0) {
+      std::fprintf(stderr,
+                   "SHAPE CHECK FAIL: %s F1 %.2f is more than 1 point from "
+                   "KFAC (No Comp.) %.2f\n",
+                   r.approach, r.m.f1, target_f1);
+      ok = false;
+    }
+    if (r.m.f1 < r.m.exact_match) {
+      std::fprintf(stderr, "SHAPE CHECK FAIL: %s F1 %.2f < exact match %.2f\n",
+                   r.approach, r.m.f1, r.m.exact_match);
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

@@ -9,6 +9,7 @@
 #   ./ci.sh pipeline   chunked streaming suites only (ctest -L pipeline)
 #   ./ci.sh scale      1000-rank scale-out suites only (ctest -L scale)
 #   ./ci.sh convergence  compressor-family convergence suites (ctest -L convergence)
+#   ./ci.sh paper      Fig. 6b / Table 1 shape-check gates (ctest -L paper)
 #   ./ci.sh LABEL      any other ctest label the same way (ctest -L LABEL)
 #   ./ci.sh bench      build the normal config only and regenerate the six
 #                      BENCH_*.json files at the repo root (full, not smoke,

@@ -6,6 +6,7 @@
 #include "src/compress/payload_fuzz.hpp"
 #include "src/tensor/matrix_ops.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -15,13 +16,17 @@ namespace {
 /// Seed offset for the sketch families' counter-derived payload seeds.
 constexpr std::uint64_t kSketchSeedSalt = 0x5EEDC0DEULL;
 
-std::vector<nn::Model> build_replicas(const TrainerConfig& cfg) {
+FtTrainerConfig with_default_task(FtTrainerConfig cfg) {
+  if (cfg.task == nullptr) cfg.task = std::make_shared<ClusterTask>(cfg.base);
+  return cfg;
+}
+
+std::vector<nn::Model> build_replicas(const FtTrainerConfig& cfg) {
   std::vector<nn::Model> replicas;
-  replicas.reserve(cfg.world);
-  for (std::size_t r = 0; r < cfg.world; ++r) {
-    tensor::Rng rng(cfg.seed);  // same seed -> identical initial weights
-    replicas.push_back(nn::make_mlp_classifier(cfg.features, cfg.hidden,
-                                               cfg.classes, cfg.depth, rng));
+  replicas.reserve(cfg.base.world);
+  for (std::size_t r = 0; r < cfg.base.world; ++r) {
+    tensor::Rng rng(cfg.base.seed);  // same seed -> identical initial weights
+    replicas.push_back(cfg.task->build(rng));
   }
   return replicas;
 }
@@ -29,10 +34,8 @@ std::vector<nn::Model> build_replicas(const TrainerConfig& cfg) {
 }  // namespace
 
 FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
-    : cfg_(std::move(config)),
-      dataset_(cfg_.base.features, cfg_.base.classes, cfg_.base.noise,
-               cfg_.base.seed ^ 0xDA7A5E7ULL),
-      replicas_(build_replicas(cfg_.base)),
+    : cfg_(with_default_task(std::move(config))),
+      replicas_(build_replicas(cfg_)),
       comm_(comm::Topology::with_gpus(cfg_.base.world),
             comm::NetworkModel::platform1()),
       lr_(cfg_.base_lr, cfg_.lr_decay, cfg_.lr_milestones),
@@ -41,18 +44,36 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
       data_rng_(cfg_.base.seed ^ 0xBA7C4ULL),
       sr_rng_(cfg_.base.seed ^ 0x5121ULL) {
   comm_.set_membership_config(cfg_.membership);
-  // Persistent family compressor (DESIGN.md §17). The EF families carry
-  // their own residual state, so DistSgd's built-in per-(rank, slot)
-  // residual is turned off for them — two stacked error feedbacks would
-  // double-count the compression error.
+  // Persistent family compressor and default provider (DESIGN.md §17).
+  // The EF families carry their own residual state, so DistSgd's built-in
+  // per-(rank, slot) residual is turned off for them — two stacked error
+  // feedbacks would double-count the compression error. Families with a
+  // persistent compressor hand it out at every iteration.
+  CompressorProvider family_provider = [this](std::size_t) {
+    return family_compressor_.get();
+  };
   switch (cfg_.family) {
     case CompressorFamily::kCompso:
-      break;  // rebuilt per step from the adaptive schedule.
-    case CompressorFamily::kEfCompso:
-      family_compressor_ = compress::make_error_feedback(
+      // Rebuilt per step from the adaptive schedule; post-NaN conservative
+      // mode: no filtering, half the SR bound (see effective_params).
+      family_provider = [this](std::size_t t) {
+        step_compressor_ = compress::make_compso(effective_params(t));
+        return step_compressor_.get();
+      };
+      break;
+    case CompressorFamily::kEfCompso: {
+      auto ef = std::make_unique<compress::ErrorFeedbackCompressor>(
           compress::make_compso(schedule_.params_at(0)));
+      // EF-over-COMPSO follows the same adaptive schedule: swap the inner
+      // compressor, keep the residual streams.
+      family_provider = [this, wrapper = ef.get()](std::size_t t) {
+        wrapper->set_inner(compress::make_compso(effective_params(t)));
+        return wrapper;
+      };
+      family_compressor_ = std::move(ef);
       cfg_.sgd.error_feedback = false;
       break;
+    }
     case CompressorFamily::kTopK:
       family_compressor_ = compress::make_topk(cfg_.family_keep_fraction);
       break;
@@ -70,6 +91,7 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
           cfg_.family_sketch_ratio, cfg_.base.seed ^ kSketchSeedSalt);
       break;
   }
+  if (!cfg_.provider) cfg_.provider = std::move(family_provider);
   std::vector<nn::Model*> ptrs;
   for (auto& m : replicas_) ptrs.push_back(&m);
   if (cfg_.optimizer == OptimizerKind::kKfac) {
@@ -156,18 +178,12 @@ double FaultTolerantTrainer::step() {
   // passes run as one engine batch (like data-parallel ranks on their own
   // devices). Losses and NaN injection fold in rank order afterwards, so
   // every bit matches a serial rank loop.
-  std::vector<nn::Batch> batches(cfg_.base.world);
   std::vector<double> losses(cfg_.base.world, 0.0);
   std::vector<std::function<void()>> passes;
   for (std::size_t r = 0; r < cfg_.base.world; ++r) {
     if (!comm_.is_participating(r)) continue;
-    batches[r] = dataset_.sample(cfg_.base.batch_per_rank, data_rng_);
-    passes.emplace_back([this, r, &batches, &losses] {
-      const auto logits = replicas_[r].forward(batches[r].x);
-      tensor::Tensor grad;
-      losses[r] = nn::softmax_cross_entropy(logits, batches[r].labels, grad);
-      replicas_[r].backward(grad);
-    });
+    passes.push_back(cfg_.task->sample(
+        replicas_[r], cfg_.base.batch_per_rank, data_rng_, losses[r]));
   }
   engine_.run_batch(std::move(passes));
   double loss = 0.0;
@@ -182,26 +198,7 @@ double FaultTolerantTrainer::step() {
   loss /= static_cast<double>(comm_.participant_count());
   compute_span.end();
 
-  std::unique_ptr<compress::GradientCompressor> compressor;
-  const compress::GradientCompressor* active = nullptr;
-  if (cfg_.compress) {
-    if (cfg_.family == CompressorFamily::kCompso) {
-      // Post-NaN conservative mode: no filtering, half the SR bound (see
-      // effective_params).
-      compressor = compress::make_compso(effective_params(t));
-      active = compressor.get();
-    } else {
-      if (cfg_.family == CompressorFamily::kEfCompso) {
-        // EF-over-COMPSO follows the same adaptive schedule: swap the
-        // inner compressor, keep the residual streams.
-        static_cast<compress::ErrorFeedbackCompressor*>(
-            family_compressor_.get())
-            ->set_inner(compress::make_compso(effective_params(t)));
-      }
-      active = family_compressor_.get();
-    }
-  }
-
+  const compress::GradientCompressor* active = cfg_.provider(t);
   const auto skips_before = comm_.recovery().nonfinite_skips;
   if (kfac_ != nullptr) {
     kfac_->step(t, lr_.lr(t), active, sr_rng_);
@@ -268,11 +265,15 @@ std::vector<double> FaultTolerantTrainer::run(std::size_t iterations) {
   return losses;
 }
 
-double FaultTolerantTrainer::evaluate() {
-  tensor::Rng rng(cfg_.base.seed ^ 0xE7A1ULL);
-  const auto batch = dataset_.sample(512, rng);
-  const auto logits = lead_replica().forward(batch.x);
-  return nn::accuracy(logits, batch.labels);
+double FaultTolerantTrainer::evaluate() { return cfg_.task->evaluate(model()); }
+
+double FaultTolerantTrainer::last_compression_ratio() const {
+  const auto orig = kfac_ != nullptr ? kfac_->last_original_bytes()
+                                     : sgd_->last_original_bytes();
+  const auto wire = kfac_ != nullptr ? kfac_->last_compressed_bytes()
+                                     : sgd_->last_compressed_bytes();
+  return wire > 0 ? static_cast<double>(orig) / static_cast<double>(wire)
+                  : 0.0;
 }
 
 std::vector<float> FaultTolerantTrainer::parameters() {
@@ -336,11 +337,11 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
   }
   // --- model parameters (replicas are identical; save the lead) ---
   section("params");
-  auto& model = lead_replica();
-  const auto trainable = model.trainable_layers();
+  auto& lead = model();
+  const auto trainable = lead.trainable_layers();
   ckpt::put_u64(body, trainable.size());
   for (std::size_t li : trainable) {
-    auto& layer = model.layer(li);
+    auto& layer = lead.layer(li);
     ckpt::put_tensor(body, *layer.weight());
     ckpt::put_tensor(body, *layer.bias());
   }
@@ -495,6 +496,29 @@ void FaultTolerantTrainer::restore(ckpt::ByteView frame) {
 void FaultTolerantTrainer::load_checkpoint(const std::string& path) {
   const auto frame = ckpt::read_file(path);
   restore(frame);
+}
+
+TrainResult train(FaultTolerantTrainer& trainer, std::size_t iterations) {
+  TrainResult result;
+  double cr_sum = 0.0;
+  std::size_t cr_n = 0;
+  const std::size_t eval_every = std::max<std::size_t>(iterations / 20, 1);
+  for (std::size_t i = 0; i < iterations; ++i) {
+    result.loss_curve.push_back(trainer.step());
+    if (const double cr = trainer.last_compression_ratio(); cr > 0.0) {
+      cr_sum += cr;
+      ++cr_n;
+    }
+    if ((i + 1) % eval_every == 0) {
+      result.eval_curve.push_back(trainer.evaluate());
+    }
+  }
+  result.final_accuracy = trainer.evaluate();
+  result.final_loss = result.loss_curve.empty() ? 0.0
+                                                : result.loss_curve.back();
+  result.avg_compression_ratio = cr_n > 0 ? cr_sum / static_cast<double>(cr_n)
+                                          : 1.0;
+  return result;
 }
 
 }  // namespace compso::core

@@ -1,8 +1,9 @@
 #pragma once
-// Fault-tolerant training runtime (DESIGN.md §9): a persistent trainer that
-// owns the dataset, replicas, Communicator, optimizer, and RNG streams for
-// the whole run — unlike ClusterTrainer, which rebuilds them per call —
-// so it can
+// Fault-tolerant training runtime (DESIGN.md §9): the one training loop of
+// the project. A persistent trainer owns the task (dataset + model, see
+// core/task.hpp), replicas, Communicator, optimizer, and RNG streams for
+// the whole run, picks each iteration's compressor through a
+// CompressorProvider, and so can
 //
 //  - drive a seeded FaultPlan through the Communicator (transport faults)
 //    and through the training loop itself (kNanGradient poisoning),
@@ -21,7 +22,9 @@
 #include "src/compress/compression_engine.hpp"
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/checkpoint.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/task.hpp"
+#include "src/optim/dist_kfac.hpp"
+#include "src/optim/dist_sgd.hpp"
 #include "src/optim/recovery.hpp"
 
 #include <memory>
@@ -48,7 +51,9 @@ enum class CompressorFamily : std::uint8_t {
 };
 
 struct FtTrainerConfig {
-  TrainerConfig base{};  ///< cluster / model / seed, as for ClusterTrainer.
+  TrainerConfig base{};  ///< cluster / model / seed.
+  /// What is trained; null trains the ClusterTask built from `base`.
+  std::shared_ptr<const TrainingTask> task{};
   OptimizerKind optimizer = OptimizerKind::kKfac;
   optim::DistKfacConfig kfac{};
   optim::DistSgdConfig sgd{};
@@ -61,13 +66,18 @@ struct FtTrainerConfig {
   double base_lr = 0.05;
   double lr_decay = 0.1;
   std::vector<std::size_t> lr_milestones{};
-  /// When true, each iteration uses a COMPSO compressor configured by the
-  /// iteration-wise adaptive schedule (tightened after a non-finite event).
-  bool compress = true;
-  /// Compressor family for the gradient exchange when `compress` is true.
-  /// EF-over-COMPSO still follows the adaptive schedule: the wrapper's
-  /// inner compressor is rebuilt from effective_params(t) each iteration
-  /// while the residuals persist.
+  /// Picks each iteration's compressor; a provider that returns nullptr
+  /// runs that iteration uncompressed. Empty = the family's own provider:
+  /// kCompso configures a COMPSO per iteration from the iteration-wise
+  /// adaptive schedule (tightened after a non-finite event), the other
+  /// families hand out their persistent compressor. EF-over-COMPSO still
+  /// follows the adaptive schedule: the wrapper's inner compressor is
+  /// rebuilt from effective_params(t) each iteration while the residuals
+  /// persist.
+  CompressorProvider provider{};
+  /// Compressor family for the gradient exchange. Its persistent
+  /// compressor and checkpoint section exist even under a caller's
+  /// provider.
   CompressorFamily family = CompressorFamily::kCompso;
   double family_keep_fraction = 0.1;  ///< top-k keep for the TopK families.
   double family_sketch_ratio = 0.25;  ///< size ratio for sketch families.
@@ -97,8 +107,11 @@ class FaultTolerantTrainer {
   /// Runs `iterations` steps; returns the per-iteration loss curve.
   std::vector<double> run(std::size_t iterations);
 
-  /// Held-out accuracy of the first surviving replica.
+  /// Held-out accuracy (TrainingTask::evaluate) of the first surviving
+  /// replica.
   double evaluate();
+  /// The first surviving replica.
+  nn::Model& model() { return replicas_[comm_.first_participant()]; }
   /// Flattened parameters of the first surviving replica (for drift /
   /// bit-exactness checks in tests).
   std::vector<float> parameters();
@@ -112,6 +125,12 @@ class FaultTolerantTrainer {
   const comm::Communicator& comm() const noexcept { return comm_; }
   const AdaptiveSchedule& schedule() const noexcept { return schedule_; }
   compress::CompressionEngine& engine() noexcept { return engine_; }
+  /// The KFAC optimizer (null for SGD), e.g. to attach a factor
+  /// compressor or read its per-step factor bytes.
+  optim::DistKfac* kfac() noexcept { return kfac_.get(); }
+  /// Original / wire bytes of the last step's gradient exchange (0 when
+  /// nothing went on the wire).
+  double last_compression_ratio() const;
 
   /// The compressor parameters iteration `t` would train with, including
   /// the post-NaN tightening override — what a resumed run must reproduce
@@ -153,7 +172,6 @@ class FaultTolerantTrainer {
 
  private:
   void poison_gradients(nn::Model& model);
-  nn::Model& lead_replica() { return replicas_[comm_.first_participant()]; }
   /// Re-syncs the shared (rank-agnostic) training state — schedule cursor,
   /// tightening flag, optimizer state, RNG streams — from a survivor to a
   /// rejoining rank through a sealed CKPT frame, before the step runs. The
@@ -161,8 +179,7 @@ class FaultTolerantTrainer {
   /// what it buys is the real protocol's validation path and accounting.
   void resync_shared_state(std::size_t t);
 
-  FtTrainerConfig cfg_;
-  nn::ClusterDataset dataset_;
+  FtTrainerConfig cfg_;  ///< task and provider always set.
   std::vector<nn::Model> replicas_;
   comm::Communicator comm_;
   optim::StepLr lr_;
@@ -173,6 +190,8 @@ class FaultTolerantTrainer {
   /// Persistent family compressor (families other than kCompso); its
   /// cross-step state rides in the "compressor" checkpoint section.
   std::unique_ptr<compress::GradientCompressor> family_compressor_;
+  /// kCompso's compressor of the current iteration.
+  std::unique_ptr<compress::GradientCompressor> step_compressor_;
   std::unique_ptr<comm::FaultInjector> injector_;
   tensor::Rng data_rng_;
   tensor::Rng sr_rng_;
@@ -180,5 +199,18 @@ class FaultTolerantTrainer {
   bool tightened_ = false;  ///< adaptive bounds tightened after a NaN event.
   obs::ObsHooks obs_;
 };
+
+/// Curves and final scores of a run (Fig. 3, Fig. 6).
+struct TrainResult {
+  std::vector<double> loss_curve;      ///< training loss per iteration.
+  std::vector<double> eval_curve;      ///< eval accuracy at 20 eval points.
+  double final_accuracy = 0.0;         ///< held-out accuracy at the end.
+  double final_loss = 0.0;
+  double avg_compression_ratio = 1.0;  ///< mean over steps with wire bytes.
+};
+
+/// Runs `iterations` steps of `trainer`, evaluating after every
+/// iterations / 20 of them.
+TrainResult train(FaultTolerantTrainer& trainer, std::size_t iterations);
 
 }  // namespace compso::core

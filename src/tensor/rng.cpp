@@ -57,7 +57,11 @@ float Rng::normal(float mean, float stddev) noexcept {
 }
 
 float Rng::laplace(float b) noexcept {
-  const float u = uniform() - 0.5F;
+  // A draw of exactly 0 would give u = -0.5 and log(0) = -inf below; redraw
+  // on that one value only, so every other draw sequence is unchanged.
+  float d = uniform();
+  while (d == 0.0F) d = uniform();
+  const float u = d - 0.5F;
   const float sign = u < 0.0F ? -1.0F : 1.0F;
   return -b * sign * std::log(1.0F - 2.0F * std::fabs(u));
 }

@@ -61,6 +61,7 @@ class Rng {
   /// Normal with the given mean / stddev.
   float normal(float mean, float stddev) noexcept;
   /// Laplace(0, b): the heavy-tailed shape of KFAC/SGD gradient values.
+  /// Always finite.
   float laplace(float b) noexcept;
 
   /// Fill a span with standard normal values.

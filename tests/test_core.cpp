@@ -1,10 +1,11 @@
 // Tests for the COMPSO core: adaptive schedule (Alg. 1), framework tuning,
-// performance simulator invariants, and end-to-end training integration.
+// performance simulator invariants, and end-to-end training integration
+// (cluster and span tasks on FaultTolerantTrainer).
 
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/framework.hpp"
 #include "src/core/perf_sim.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -213,56 +214,99 @@ TEST(PerfSim, CompressionRatioNearPaperHeadline) {
   EXPECT_LT(r.compression_ratio, 40.0);
 }
 
-// --- trainer integration ---
+// --- training through FaultTolerantTrainer ---
+
+/// KFAC on the default cluster task; uncompressed unless `provider` says.
+cc::FtTrainerConfig kfac_config(
+    std::size_t lr_drop,
+    cc::CompressorProvider provider = cc::fixed_provider(nullptr)) {
+  cc::FtTrainerConfig cfg;
+  cfg.base_lr = 0.02;
+  cfg.lr_milestones = {lr_drop};
+  cfg.kfac.damping = 0.03;
+  cfg.provider = std::move(provider);
+  return cfg;
+}
+
+/// KFAC on the span-extraction task (12 positions, seed 99); the default
+/// provider compresses every step with the adaptive COMPSO schedule.
+cc::FtTrainerConfig span_config(std::size_t engine_threads = 0) {
+  cc::FtTrainerConfig cfg;
+  cfg.base.hidden = 32;
+  cfg.base.noise = 0.55F;
+  cfg.base.seed = 99;
+  cfg.task = std::make_shared<cc::SpanTask>(cfg.base, 12);
+  cfg.base_lr = 0.02;
+  cfg.lr_milestones = {100};
+  cfg.kfac.damping = 0.03;
+  cfg.total_iterations = 120;
+  cfg.engine_threads = engine_threads;
+  return cfg;
+}
 
 TEST(TrainerIntegration, KfacConvergesOnClusters) {
-  cc::TrainerConfig cfg;
-  cc::ClusterTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {60});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto r = trainer.train_kfac(60, lr, nullptr, kc);
+  cc::FaultTolerantTrainer trainer(kfac_config(60));
+  const auto r = cc::train(trainer, 60);
   EXPECT_GT(r.final_accuracy, 0.9);
   EXPECT_LT(r.final_loss, r.loss_curve.front());
 }
 
 TEST(TrainerIntegration, KfacWithCompsoMatchesNoCompression) {
-  cc::TrainerConfig cfg;
-  cc::ClusterTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {40});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto base = trainer.train_kfac(60, lr, nullptr, kc);
+  cc::FaultTolerantTrainer plain(kfac_config(40));
+  const auto base = cc::train(plain, 60);
   const auto compso = cp::make_compso({});
-  const auto comp = trainer.train_kfac(
-      60, lr, [&](std::size_t) { return compso.get(); }, kc);
+  cc::FaultTolerantTrainer compressed(
+      kfac_config(40, cc::fixed_provider(compso.get())));
+  const auto comp = cc::train(compressed, 60);
   EXPECT_GT(comp.final_accuracy, base.final_accuracy - 0.05);
   EXPECT_GT(comp.avg_compression_ratio, 2.0);
 }
 
 TEST(TrainerIntegration, DeterministicAcrossRuns) {
-  cc::TrainerConfig cfg;
-  compso::optim::StepLr lr(0.02, 0.1, {40});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  cc::ClusterTrainer t1(cfg), t2(cfg);
-  const auto r1 = t1.train_kfac(10, lr, nullptr, kc);
-  const auto r2 = t2.train_kfac(10, lr, nullptr, kc);
+  cc::FaultTolerantTrainer t1(kfac_config(40)), t2(kfac_config(40));
+  const auto r1 = cc::train(t1, 10);
+  const auto r2 = cc::train(t2, 10);
   ASSERT_EQ(r1.loss_curve.size(), r2.loss_curve.size());
   for (std::size_t i = 0; i < r1.loss_curve.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1.loss_curve[i], r2.loss_curve[i]);
   }
 }
 
-TEST(TrainerIntegration, SpanTrainerProducesMetrics) {
-  cc::SpanTrainerConfig cfg;
-  cc::SpanTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {100});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto r = trainer.train_kfac(120, lr, nullptr, kc);
-  EXPECT_GT(r.metrics.f1, 50.0);  // learnable structure is learned
-  EXPECT_GE(r.metrics.f1, r.metrics.exact_match);
+TEST(TrainerIntegration, SpanTaskProducesMetrics) {
+  auto cfg = span_config();
+  cfg.provider = cc::fixed_provider(nullptr);
+  const auto& task = static_cast<const cc::SpanTask&>(*cfg.task);
+  cc::FaultTolerantTrainer trainer(cfg);
+  trainer.run(120);
+  const auto m = task.metrics(trainer.model());
+  EXPECT_GT(m.f1, 50.0);  // learnable structure is learned
+  EXPECT_GE(m.f1, m.exact_match);
+  EXPECT_DOUBLE_EQ(trainer.evaluate(), m.exact_match / 100.0);
+}
+
+TEST(TrainerIntegration, SpanTaskResumesBitExact) {
+  constexpr std::size_t kSplit = 5, kSteps = 12;
+  cc::FaultTolerantTrainer straight(span_config());
+  const auto straight_losses = straight.run(kSteps);
+
+  cc::FaultTolerantTrainer first(span_config());
+  first.run(kSplit);
+  const auto frame = first.checkpoint();
+  cc::FaultTolerantTrainer resumed(span_config());
+  resumed.restore(frame);
+  const auto resumed_losses = resumed.run(kSteps - kSplit);
+
+  for (std::size_t i = 0; i < resumed_losses.size(); ++i) {
+    EXPECT_EQ(resumed_losses[i], straight_losses[kSplit + i]) << "step " << i;
+  }
+  EXPECT_EQ(resumed.parameters(), straight.parameters());
+}
+
+TEST(TrainerIntegration, SpanTaskBitIdenticalAcrossEngineThreads) {
+  cc::FaultTolerantTrainer serial(span_config(0));
+  cc::FaultTolerantTrainer parallel(span_config(4));
+  EXPECT_EQ(serial.run(12), parallel.run(12));
+  EXPECT_EQ(serial.parameters(), parallel.parameters());
 }
 
 }  // namespace

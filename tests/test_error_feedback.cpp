@@ -177,19 +177,21 @@ TEST(ErrorFeedback, OverIdentityReproducesUncompressedSgdBitForBit) {
   // g + 0.0f is bitwise g: the EF-wrapped run must be bit-identical to
   // the plain-identity run — which is itself the uncompressed SGD
   // trajectory carried over the identity payload format.
-  core::TrainerConfig base{.world = 4, .batch_per_rank = 8, .features = 10,
-                           .classes = 3, .hidden = 8, .depth = 2,
-                           .noise = 0.5F, .seed = 77};
-  compso::optim::StepLr lr(0.05, 0.1, {});
   const auto ident = cp::make_identity();
   const auto ef = cp::make_error_feedback(cp::make_identity());
-
-  core::ClusterTrainer plain(base);
-  const auto a =
-      plain.train_sgd(20, lr, ident.get(), /*error_feedback=*/false);
-  core::ClusterTrainer wrapped(base);
-  const auto b =
-      wrapped.train_sgd(20, lr, ef.get(), /*error_feedback=*/false);
+  const auto run = [](const cp::GradientCompressor* compressor) {
+    core::FtTrainerConfig cfg;
+    cfg.base = {.world = 4, .batch_per_rank = 8, .features = 10,
+                .classes = 3, .hidden = 8, .depth = 2, .noise = 0.5F,
+                .seed = 77};
+    cfg.optimizer = core::OptimizerKind::kSgd;
+    cfg.sgd.error_feedback = false;
+    cfg.provider = core::fixed_provider(compressor);
+    core::FaultTolerantTrainer trainer(cfg);
+    return core::train(trainer, 20);
+  };
+  const auto a = run(ident.get());
+  const auto b = run(ef.get());
 
   ASSERT_EQ(a.loss_curve.size(), b.loss_curve.size());
   for (std::size_t i = 0; i < a.loss_curve.size(); ++i) {

@@ -220,6 +220,17 @@ TEST(Rng, LaplaceVariance) {
   EXPECT_NEAR(ct::variance(v), 2.0 * b * b, 0.02);
 }
 
+TEST(Rng, LaplaceFiniteWhenUniformDrawsZero) {
+  // This stream's uniform() draws exactly 0 once within the first 2^20
+  // Laplace draws, which used to come out as -log(0) = Inf.
+  ct::Rng rng(20240806 ^ 0x5EED);
+  const auto v =
+      ct::synthetic_gradient(1 << 20, ct::GradientProfile::kfac(), rng);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(v[i])) << "element " << i;
+  }
+}
+
 TEST(Rng, UniformIndexInRange) {
   ct::Rng rng(10);
   for (int i = 0; i < 10000; ++i) {
